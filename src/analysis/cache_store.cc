@@ -14,13 +14,14 @@
  * so a corrupt payload can only ever drop its own entry, never read
  * out of bounds or poison the cache.
  *
- * Concurrency: writers (save, compact) serialize on an advisory
- * flock over `<path>.lock`. Readers never lock — the format is
- * append-only, so a reader sees a valid prefix plus at most one
- * torn tail, which the scanner salvages entry-by-entry. Full
- * rewrites (v1 migration, torn-tail repair, compaction) write a
- * temp file and rename it into place, which keeps existing mmaps
- * valid on the old inode.
+ * Concurrency: writers (save, compact) serialize on an exclusive
+ * advisory flock over `<path>.lock`; readers (load, inspect,
+ * verify) hold it shared across open and scan, so they never see a
+ * segment a live writer is still appending. A torn tail left by a
+ * crashed writer is still salvaged entry-by-entry. Full rewrites
+ * (v1 migration, torn-tail repair, compaction) write a temp file
+ * and rename it into place, which keeps existing mmaps valid on the
+ * old inode.
  */
 
 #include "analysis/cache_store.hh"
@@ -541,19 +542,23 @@ appendEntry(std::vector<std::uint8_t> &out, std::uint8_t kind,
 // --- advisory file lock ---------------------------------------------------
 
 /**
- * RAII flock over `<path>.lock`. Best effort: when the lock file
- * cannot even be created (read-only directory), writers proceed
- * unlocked — exactly as unsafe as v1 was, never less available.
+ * RAII flock over `<path>.lock`, exclusive for writers and shared
+ * for readers. flock belongs to the open file description, so one
+ * thread must never take it twice on one path. Best effort: when the
+ * lock file cannot even be created (read-only directory), callers
+ * proceed unlocked — exactly as unsafe as v1 was, never less
+ * available.
  */
 class CacheFileLock
 {
   public:
-    explicit CacheFileLock(const std::string &cache_path)
+    explicit CacheFileLock(const std::string &cache_path,
+                           bool shared = false)
     {
         const std::string lock_path = cache_path + ".lock";
         fd_ = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0666);
         if (fd_ >= 0)
-            ::flock(fd_, LOCK_EX);
+            ::flock(fd_, shared ? LOCK_SH : LOCK_EX);
     }
 
     ~CacheFileLock()
@@ -1146,6 +1151,7 @@ AnalysisCache::load(const std::string &path,
 {
     CacheLoadReport report;
 
+    const CacheFileLock read_lock(path, /*shared=*/true);
     auto file = MappedCacheFile::open(path);
     if (!file)
         return report; // absent file: cold start, not an error
@@ -1457,6 +1463,7 @@ CacheFileInfo
 inspectCacheFile(const std::string &path)
 {
     CacheFileInfo info;
+    const CacheFileLock read_lock(path, /*shared=*/true);
     auto file = MappedCacheFile::open(path);
     if (!file)
         return info;
@@ -1498,6 +1505,7 @@ CacheLoadReport
 verifyCacheFile(const std::string &path)
 {
     CacheLoadReport report;
+    const CacheFileLock read_lock(path, /*shared=*/true);
     auto file = MappedCacheFile::open(path);
     if (!file)
         return report;

@@ -69,8 +69,11 @@
  * leaves the file untouched); concurrent writers serialize on an
  * advisory `<path>.lock` flock and re-scan the file's key set under
  * the lock before appending, so parallel CI shards merge instead of
- * clobbering. A torn final segment (a writer died mid-append) is
- * salvaged entry-by-entry at load and repaired by the next save,
+ * clobbering. Readers (load, inspect, verify) hold the same lock
+ * shared while they map and scan, so they never see a segment a
+ * live writer is still appending. A torn final segment (a writer
+ * died mid-append) is salvaged entry-by-entry at load and repaired
+ * by the next save,
  * which falls back to a full atomic rewrite (tmp + rename, keeping
  * live mmaps valid on the old inode). Version-1 files (one unsegmented
  * whole-file snapshot) load transparently read-only with a

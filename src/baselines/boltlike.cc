@@ -67,9 +67,9 @@ boltRewrite(const BinaryImage &input, BoltOperation op)
     }
     rewriteRegeneratedFuncPtrs(out, *old_text, cfg, engine);
 
-    auto entry_it = engine.blockMap.find(input.entry);
-    icp_assert(entry_it != engine.blockMap.end(), "entry missing");
-    out.entry = entry_it->second;
+    const std::optional<Addr> entry = engine.blockMap.lookup(input.entry);
+    icp_assert(entry.has_value(), "entry missing");
+    out.entry = *entry;
 
     outcome.ok = true;
     outcome.image = std::move(out);

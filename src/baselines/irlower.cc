@@ -96,23 +96,21 @@ irLowerRewrite(const BinaryImage &input,
     // have no try ranges).
     std::vector<FdeRecord> new_fdes;
     for (const auto &fde : input.fdeRecords()) {
-        auto start_it = engine.blockMap.find(fde.start);
-        if (start_it == engine.blockMap.end())
+        const std::optional<Addr> start = engine.blockMap.lookup(fde.start);
+        if (!start)
             continue;
         FdeRecord updated = fde;
-        updated.start = start_it->second;
-        // Conservative extent: up to the next function's start.
-        auto next = engine.blockMap.upper_bound(fde.end - 1);
-        updated.end = start_it->second + (fde.end - fde.start) * 4;
-        (void)next;
+        updated.start = *start;
+        // Conservative extent: the original one, scaled.
+        updated.end = *start + (fde.end - fde.start) * 4;
         new_fdes.push_back(updated);
     }
     out.setFdeRecords(new_fdes);
 
     // New entry point: the relocated main.
-    auto entry_it = engine.blockMap.find(input.entry);
-    icp_assert(entry_it != engine.blockMap.end(), "entry missing");
-    out.entry = entry_it->second;
+    const std::optional<Addr> entry = engine.blockMap.lookup(input.entry);
+    icp_assert(entry.has_value(), "entry missing");
+    out.entry = *entry;
 
     result.stats.rewrittenLoadedSize = out.loadedSize();
     result.blockCounters = engine.blockCounters;

@@ -19,19 +19,14 @@ rewriteRegeneratedFuncPtrs(BinaryImage &out, Section &new_text,
     std::uint64_t rewritten = 0;
 
     for (const auto &def : fps.defs) {
-        Addr new_value;
-        if (def.delta == 0) {
-            auto it = engine.blockMap.find(def.funcEntry);
-            if (it == engine.blockMap.end())
-                continue;
-            new_value = it->second;
-        } else {
-            auto it = engine.insnMap.find(
-                def.funcEntry + static_cast<Addr>(def.delta));
-            if (it == engine.insnMap.end())
-                continue;
-            new_value = it->second - static_cast<Addr>(def.delta);
-        }
+        const std::optional<Addr> relocated =
+            def.delta == 0
+                ? engine.blockMap.lookup(def.funcEntry)
+                : engine.insnMap.lookup(def.funcEntry +
+                                        static_cast<Addr>(def.delta));
+        if (!relocated)
+            continue;
+        const Addr new_value = *relocated - static_cast<Addr>(def.delta);
 
         if (def.kind == FuncPtrDef::Kind::dataCell) {
             for (auto &rel : out.relocs) {
@@ -50,10 +45,11 @@ rewriteRegeneratedFuncPtrs(BinaryImage &out, Section &new_text,
         // Code definitions: patch the regenerated instructions.
         bool patched = false;
         for (Addr orig : def.defAddrs) {
-            auto at_it = engine.insnMap.find(orig);
-            if (at_it == engine.insnMap.end())
+            const std::optional<Addr> relocated_def =
+                engine.insnMap.lookup(orig);
+            if (!relocated_def)
                 continue;
-            const Addr at = at_it->second;
+            const Addr at = *relocated_def;
             const Offset off = at - new_text.addr;
             if (off >= new_text.bytes.size())
                 continue;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "binfmt/addr_map.hh"
 #include "binfmt/stream_writer.hh"
 #include "isa/bytes.hh"
 #include "support/logging.hh"
@@ -363,6 +364,13 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
             issues.push_back({"sbf-section-bounds", at,
                               "section " + s.name +
                                   " payload exceeds its memory size"});
+        }
+        if (s.kind == SectionKind::raMap ||
+            s.kind == SectionKind::trapMap) {
+            const std::string bad = AddrPairMap::malformation(s.bytes);
+            if (!bad.empty())
+                issues.push_back({"sbf-addr-map", at,
+                                  "section " + s.name + ": " + bad});
         }
         for (const auto &prev : img.sections) {
             const bool overlap = s.addr < prev.end() &&

@@ -39,8 +39,10 @@ struct LangFeatures
  * A structured finding from SBF container validation. Rule ids:
  * "sbf-magic" (bad magic), "sbf-truncated" (field or payload runs
  * past the end of the blob), "sbf-section-bounds" (section payload
- * larger than its memory size, or address range wraps), and
- * "sbf-section-overlap" (two sections share addresses).
+ * larger than its memory size, or address range wraps),
+ * "sbf-section-overlap" (two sections share addresses), and
+ * "sbf-addr-map" (a .ra_map/.trap_map payload that is not a
+ * serialized AddrPairMap).
  */
 struct SbfIssue
 {

@@ -118,12 +118,10 @@ class Engine
         std::vector<std::uint8_t> bytes;
     };
 
-    void planClones();
-    void planFunctionClones(const Function &func);
+    void planFunction(const Function &func);
     bool tryReuseRun(const std::vector<const Function *> &funcs);
     std::vector<const Block *>
     blockEmitOrder(const Function &func) const;
-    void assignCounters(const std::vector<const Function *> &funcs);
     void assignCountersFor(const Function &func);
     FuncStream emitFunctionStream(const Function &func, Addr base);
     bool decisionsHold(const FuncStream &fs, Addr base) const;
@@ -132,9 +130,10 @@ class Engine
                    const Block &block, Addr fallthrough_next);
     void emitTranslated(FuncStream &fs, const Function &func,
                         const Instruction &in);
-    void appendAlignment(std::vector<std::uint8_t> &out, Addr &addr,
-                         Addr target) const;
-    void fillClones();
+    std::vector<std::uint8_t> finalizeStream(FuncStream &fs) const;
+    void appendPadding(std::vector<std::uint8_t> &out, Addr from,
+                       Addr to) const;
+    std::vector<std::uint8_t> cloneBytes() const;
 
     Assembler::Label
     labelFor(FuncStream &fs, Addr block_start)
@@ -176,9 +175,13 @@ class Engine
     std::set<Addr> widenLoads_;         ///< widened jt entry loads
 };
 
+/** Plan @p func: record its relocated blocks and place its
+ *  jump-table clones. */
 void
-Engine::planFunctionClones(const Function &func)
+Engine::planFunction(const Function &func)
 {
+    for (const auto &[start, block] : func.blocks)
+        relocatedBlocks_.push_back(start);
     if (cfg_opts_.mode == RewriteMode::dir)
         return;
     for (const auto &jt : func.jumpTables) {
@@ -208,18 +211,6 @@ Engine::planFunctionClones(const Function &func)
             widenLoads_.insert(jt.loadAddr);
 
         result_.clones.push_back(std::move(clone));
-    }
-}
-
-void
-Engine::planClones()
-{
-    if (cfg_opts_.mode == RewriteMode::dir)
-        return;
-    for (const auto &[entry, func] : cfg_.functions) {
-        if (!instrumented_.count(entry))
-            continue;
-        planFunctionClones(func);
     }
 }
 
@@ -500,7 +491,7 @@ Engine::emitBlock(FuncStream &fs, const Function &func,
         block.start, static_cast<Offset>(as.here() - as.startAddr()));
 
     // Instrumentation snippets (counter ids pre-assigned in
-    // emission order by assignCounters so streams can emit
+    // emission order by assignCountersFor so streams can emit
     // concurrently).
     const bool is_entry = block.start == func.entry;
     if (is_entry && cfg_opts_.goRaTranslation &&
@@ -618,97 +609,106 @@ Engine::decisionsHold(const FuncStream &fs, Addr base) const
     return true;
 }
 
-void
-Engine::appendAlignment(std::vector<std::uint8_t> &out, Addr &addr,
-                        Addr target) const
+/** Bind @p fs's cross-function branches against the block map and
+ *  encode it. */
+std::vector<std::uint8_t>
+Engine::finalizeStream(FuncStream &fs) const
 {
-    // The same bytes Assembler::alignTo produces: encoded nops.
-    while (addr < target) {
+    for (const auto &[addr, label] : fs.externalLabels) {
+        const std::optional<Addr> target = result_.blockMap.lookup(addr);
+        icp_assert(target.has_value(),
+                   "external block 0x%llx not relocated",
+                   static_cast<unsigned long long>(addr));
+        fs.as->bindAt(label, *target);
+    }
+    return fs.as->finalize();
+}
+
+/** Append the nop padding for [@p from, @p to): the same bytes
+ *  Assembler::alignTo produces. */
+void
+Engine::appendPadding(std::vector<std::uint8_t> &out, Addr from,
+                      Addr to) const
+{
+    const std::size_t start = out.size();
+    Addr addr = from;
+    while (addr < to) {
         const bool ok = arch_.codec->encode(makeNop(), addr, out);
         icp_assert(ok, "nop encode failed");
-        addr = cfg_opts_.instrBase + out.size();
+        addr = from + (out.size() - start);
     }
-    icp_assert(addr == target, "alignment overshot");
+    icp_assert(addr == to, "alignment overshot");
 }
 
-/**
- * Fill one clone's entries into the .newrodata payload.
- * @p lookupBlock maps an original block start to its relocated
- * address (nullopt when not relocated) — shared between the
- * monolithic engine (map lookup) and the incremental driver (flat
- * sorted vector).
- */
-template <typename LookupBlock>
-void
-fillCloneEntries(const TableClone &clone, Addr new_rodata_base,
-                 const LookupBlock &lookupBlock,
-                 std::vector<std::uint8_t> &out)
+/** The .newrodata payload: every clone's entries, re-solved through
+ *  the block map. */
+std::vector<std::uint8_t>
+Engine::cloneBytes() const
 {
-    const JumpTable &jt = clone.table;
-    for (unsigned i = 0; i < jt.entryCount; ++i) {
-        std::uint64_t value = 0;
-        const Addr orig_target =
-            i < jt.targets.size() ? jt.targets[i] : 0;
-        if (std::optional<Addr> relocated = lookupBlock(orig_target)) {
-            const Addr tnew = *relocated;
-            if (!jt.base) {
-                value = tnew;
-            } else {
-                Addr base_new;
-                if (*jt.base == jt.tableAddr) {
-                    base_new = clone.cloneAddr;
+    std::vector<std::uint8_t> out;
+    for (const TableClone &clone : result_.clones) {
+        const JumpTable &jt = clone.table;
+        for (unsigned i = 0; i < jt.entryCount; ++i) {
+            std::uint64_t value = 0;
+            const Addr orig_target =
+                i < jt.targets.size() ? jt.targets[i] : 0;
+            if (const std::optional<Addr> relocated =
+                    result_.blockMap.lookup(orig_target)) {
+                const Addr tnew = *relocated;
+                if (!jt.base) {
+                    value = tnew;
                 } else {
-                    // Anchor-relative: the anchor moved with the
-                    // code.
-                    std::optional<Addr> anchor =
-                        lookupBlock(*jt.base);
-                    icp_assert(anchor.has_value(),
-                               "anchor 0x%llx not relocated",
-                               static_cast<unsigned long long>(
-                                   *jt.base));
-                    base_new = *anchor;
+                    Addr base_new;
+                    if (*jt.base == jt.tableAddr) {
+                        base_new = clone.cloneAddr;
+                    } else {
+                        // Anchor-relative: the anchor moved with the
+                        // code.
+                        const std::optional<Addr> anchor =
+                            result_.blockMap.lookup(*jt.base);
+                        icp_assert(anchor.has_value(),
+                                   "anchor 0x%llx not relocated",
+                                   static_cast<unsigned long long>(
+                                       *jt.base));
+                        base_new = *anchor;
+                    }
+                    const std::int64_t diff =
+                        static_cast<std::int64_t>(tnew) -
+                        static_cast<std::int64_t>(base_new);
+                    icp_assert((diff & ((1LL << jt.shift) - 1)) == 0,
+                               "clone entry not aligned");
+                    const std::int64_t entry = diff >> jt.shift;
+                    icp_assert(
+                        clone.entrySize == 8 ||
+                            fitsSigned(entry, clone.entrySize * 8),
+                        "clone entry does not fit");
+                    value = static_cast<std::uint64_t>(entry);
                 }
-                const std::int64_t diff =
-                    static_cast<std::int64_t>(tnew) -
-                    static_cast<std::int64_t>(base_new);
-                icp_assert((diff &
-                            ((1LL << jt.shift) - 1)) == 0,
-                           "clone entry not aligned");
-                const std::int64_t entry = diff >> jt.shift;
-                icp_assert(
-                    clone.entrySize == 8 ||
-                        fitsSigned(entry, clone.entrySize * 8),
-                    "clone entry does not fit");
-                value = static_cast<std::uint64_t>(entry);
+            }
+            // Over-approximated garbage entries keep zero; they are
+            // never dereferenced at runtime (§5.1, Failure 3).
+            const Offset off = clone.cloneAddr -
+                               cfg_opts_.newRodataBase +
+                               std::uint64_t{i} * clone.entrySize;
+            if (out.size() < off + clone.entrySize)
+                out.resize(off + clone.entrySize, 0);
+            for (unsigned b = 0; b < clone.entrySize; ++b) {
+                out[off + b] =
+                    static_cast<std::uint8_t>(value >> (8 * b));
             }
         }
-        // Over-approximated garbage entries keep zero; they are
-        // never dereferenced at runtime (§5.1, Failure 3).
-        const Offset off =
-            clone.cloneAddr - new_rodata_base +
-            std::uint64_t{i} * clone.entrySize;
-        if (out.size() < off + clone.entrySize)
-            out.resize(off + clone.entrySize, 0);
-        for (unsigned b = 0; b < clone.entrySize; ++b) {
-            out[off + b] =
-                static_cast<std::uint8_t>(value >> (8 * b));
-        }
     }
+    return out;
 }
 
+/** Append @p offsets, rebased to @p base, to @p out. */
 void
-Engine::fillClones()
+addRelocated(std::vector<AddrPairMap::Pair> &out,
+             const std::vector<std::pair<Addr, Offset>> &offsets,
+             Addr base)
 {
-    const auto lookup = [&](Addr a) -> std::optional<Addr> {
-        auto it = result_.blockMap.find(a);
-        if (it == result_.blockMap.end())
-            return std::nullopt;
-        return it->second;
-    };
-    for (const auto &clone : result_.clones) {
-        fillCloneEntries(clone, cfg_opts_.newRodataBase, lookup,
-                         result_.newRodataBytes);
-    }
+    for (const auto &[orig, off] : offsets)
+        out.emplace_back(orig, base + off);
 }
 
 void
@@ -724,13 +724,6 @@ Engine::assignCountersFor(const Function &func)
             result_.blockCounters[block->start] = counterNext_++;
         }
     }
-}
-
-void
-Engine::assignCounters(const std::vector<const Function *> &funcs)
-{
-    for (const Function *func : funcs)
-        assignCountersFor(*func);
 }
 
 /**
@@ -756,21 +749,6 @@ Engine::tryReuseRun(const std::vector<const Function *> &funcs)
             return false;
     }
 
-    // Nothing dirty: the previous pass's artifacts stand wholesale.
-    // Skipping the per-entry copy below keeps the no-op warm path
-    // O(result size) with no map churn.
-    if (ru.dirty->empty()) {
-        result_.blockMap = prev.blockMap;
-        result_.insnMap = prev.insnMap;
-        result_.raPairs = prev.raPairs;
-        result_.instrBytes = *ru.instrBytes;
-        result_.funcSpans = spans;
-        result_.reusedFunctions =
-            static_cast<unsigned>(funcs.size());
-        fillClones();
-        return true;
-    }
-
     // Re-emit each dirty function at its exact previous base. A size
     // change would shift every later function: bail to a full run.
     std::vector<FuncStream> streams(funcs.size());
@@ -784,13 +762,9 @@ Engine::tryReuseRun(const std::vector<const Function *> &funcs)
         emitted[i] = true;
     }
 
-    // Final addresses: bulk-copy the previous maps, then patch only
-    // the dirty functions — erase the stale entries inside each dirty
-    // function's original [entry, end) extent and insert the fresh
-    // stream offsets. The per-instruction find+insert rebuild this
-    // replaces dominated the warm one-function-edit path (~2.5 ms of
-    // a ~10 ms libxul request); an ordered copy plus a handful of
-    // range splices is O(n) with no searches. Reused functions are
+    // Final addresses: copy the previous maps (one vector copy
+    // each), then splice each dirty function's fresh entries over its
+    // original [entry, end) extent. Reused functions are
     // byte-unchanged under the dirty-set contract, so their previous
     // entries stand verbatim; each one's entry block is still looked
     // up as a containment check so a manifest that does not actually
@@ -801,21 +775,18 @@ Engine::tryReuseRun(const std::vector<const Function *> &funcs)
     for (std::size_t i = 0; i < funcs.size(); ++i) {
         const Function &func = *funcs[i];
         if (!emitted[i]) {
-            if (!prev.blockMap.count(func.entry))
+            if (!prev.blockMap.lookup(func.entry))
                 return false;
             continue;
         }
-        result_.blockMap.erase(
-            result_.blockMap.lower_bound(func.entry),
-            result_.blockMap.lower_bound(func.end));
-        result_.insnMap.erase(
-            result_.insnMap.lower_bound(func.entry),
-            result_.insnMap.lower_bound(func.end));
         const FuncStream &fs = streams[i];
-        for (const auto &[orig, off] : fs.blockOffsets)
-            result_.blockMap[orig] = fs.base + off;
-        for (const auto &[orig, off] : fs.insnOffsets)
-            result_.insnMap[orig] = fs.base + off;
+        std::vector<AddrPairMap::Pair> blocks, insns;
+        addRelocated(blocks, fs.blockOffsets, fs.base);
+        addRelocated(insns, fs.insnOffsets, fs.base);
+        result_.blockMap.replaceRange(func.entry, func.end,
+                                      std::move(blocks));
+        result_.insnMap.replaceRange(func.entry, func.end,
+                                     std::move(insns));
     }
 
     // RA pairs in emission order: the previous pass appended them
@@ -855,14 +826,7 @@ Engine::tryReuseRun(const std::vector<const Function *> &funcs)
         if (!emitted[i])
             continue;
         FuncStream &fs = streams[i];
-        for (const auto &[addr, label] : fs.externalLabels) {
-            auto target = result_.blockMap.find(addr);
-            icp_assert(target != result_.blockMap.end(),
-                       "external block 0x%llx not relocated",
-                       static_cast<unsigned long long>(addr));
-            fs.as->bindAt(label, target->second);
-        }
-        fs.bytes = fs.as->finalize();
+        fs.bytes = finalizeStream(fs);
         const Offset off = fs.base - cfg_opts_.instrBase;
         if (off + fs.bytes.size() > out.size())
             return false;
@@ -878,29 +842,26 @@ Engine::tryReuseRun(const std::vector<const Function *> &funcs)
         else
             ++result_.reusedFunctions;
     }
-    fillClones();
+    result_.newRodataBytes = cloneBytes();
     return true;
 }
 
 EngineResult
 Engine::run()
 {
-    planClones();
-
-    // Emission order and the set of relocated blocks.
+    // Plan in address order; counter ids follow emission order.
     std::vector<const Function *> funcs;
     for (const auto &[entry, func] : cfg_.functions) {
-        if (!instrumented_.count(entry))
-            continue;
-        funcs.push_back(&func);
-        for (const auto &[start, block] : func.blocks)
-            relocatedBlocks_.push_back(start);
+        if (instrumented_.count(entry)) {
+            funcs.push_back(&func);
+            planFunction(func);
+        }
     }
     std::sort(relocatedBlocks_.begin(), relocatedBlocks_.end());
     if (cfg_opts_.functionOrder == OrderPolicy::reversed)
         std::reverse(funcs.begin(), funcs.end());
-
-    assignCounters(funcs);
+    for (const Function *func : funcs)
+        assignCountersFor(*func);
 
     if (cfg_opts_.reuse.valid()) {
         if (tryReuseRun(funcs))
@@ -956,47 +917,39 @@ Engine::run()
     }
 
     // Deterministic fixup: final addresses for every block and
-    // instruction, RA pairs in emission order.
+    // instruction (sorted once; already sorted in original order),
+    // RA pairs in emission order.
+    std::vector<AddrPairMap::Pair> blocks, insns;
     for (const FuncStream &fs : streams) {
         result_.funcSpans.push_back(
             {fs.func->entry, fs.base, fs.size});
-        for (const auto &[orig, off] : fs.blockOffsets)
-            result_.blockMap[orig] = fs.base + off;
-        for (const auto &[orig, off] : fs.insnOffsets)
-            result_.insnMap[orig] = fs.base + off;
+        addRelocated(blocks, fs.blockOffsets, fs.base);
+        addRelocated(insns, fs.insnOffsets, fs.base);
         for (const auto &[off, orig] : fs.raOffsets)
             result_.raPairs.emplace_back(fs.base + off, orig);
     }
+    result_.blockMap = AddrPairMap(std::move(blocks));
+    result_.insnMap = AddrPairMap(std::move(insns));
 
-    // Patch cross-function branches (bind external labels to final
-    // addresses) and encode each stream; streams are independent.
+    // Patch cross-function branches and encode each stream; streams
+    // are independent.
     ThreadPool::shared().parallelFor(
         streams.size(), threads, [&](std::size_t i) {
-            FuncStream &fs = streams[i];
-            for (const auto &[addr, label] : fs.externalLabels) {
-                auto target = result_.blockMap.find(addr);
-                icp_assert(target != result_.blockMap.end(),
-                           "external block 0x%llx not relocated",
-                           static_cast<unsigned long long>(addr));
-                fs.as->bindAt(label, target->second);
-            }
-            fs.bytes = fs.as->finalize();
+            streams[i].bytes = finalizeStream(streams[i]);
         });
 
     // Concatenate with the same inter-function nop padding the
     // single-assembler alignTo() produced.
     std::vector<std::uint8_t> out;
-    Addr addr = cfg_opts_.instrBase;
     for (const FuncStream &fs : streams) {
-        appendAlignment(out, addr, fs.base);
+        appendPadding(out, cfg_opts_.instrBase + out.size(), fs.base);
         out.insert(out.end(), fs.bytes.begin(), fs.bytes.end());
-        addr += fs.bytes.size();
     }
     result_.instrBytes = std::move(out);
     result_.emittedFunctions =
         static_cast<unsigned>(streams.size());
 
-    fillClones();
+    result_.newRodataBytes = cloneBytes();
     return result_;
 }
 
@@ -1020,18 +973,11 @@ struct IncrementalEngine::State
      *  never touch Engine::cfg_.functions. */
     CfgModule cfg;
     std::set<Addr> instrumented; ///< unused by per-function paths
+    /** Its result_ accumulates the maps, appended per function in
+     *  ascending entry order. */
     Engine engine;
     Addr align = 0;
     Addr cursor = 0;
-
-    // Flat maps, appended per function and kept sorted by original
-    // address (functions arrive in ascending entry order; blocks of
-    // one function sort locally). At browser scale these are
-    // millions of entries — a node-based map would dominate the
-    // coordinator's memory.
-    std::vector<std::pair<Addr, Addr>> blockMap;
-    std::vector<std::pair<Addr, Addr>> insnMap;
-    std::vector<std::pair<Addr, Addr>> raPairs;
 
     static CfgModule
     makeCfg(const BinaryImage &image)
@@ -1066,18 +1012,14 @@ IncrementalEngine::~IncrementalEngine() = default;
 void
 IncrementalEngine::planFunction(const Function &func)
 {
-    State &st = *st_;
-    st.engine.planFunctionClones(func);
-    st.engine.assignCountersFor(func);
+    Engine &engine = st_->engine;
     // Ascending entry order keeps the flat vector sorted without a
     // global sort pass.
-    icp_assert(st.engine.relocatedBlocks_.empty() ||
-                   st.engine.relocatedBlocks_.back() < func.entry,
+    icp_assert(engine.relocatedBlocks_.empty() ||
+                   engine.relocatedBlocks_.back() < func.entry,
                "planFunction out of address order");
-    for (const auto &[start, block] : func.blocks) {
-        (void)block;
-        st.engine.relocatedBlocks_.push_back(start);
-    }
+    engine.planFunction(func);
+    engine.assignCountersFor(func);
 }
 
 FuncSpan
@@ -1090,24 +1032,14 @@ IncrementalEngine::layoutFunction(const Function &func)
 
     // Record final addresses; the bytes are discarded (they cannot
     // finalize until every function has a layout address).
-    const auto byOrig = [](const std::pair<Addr, Addr> &a,
-                           const std::pair<Addr, Addr> &b) {
-        return a.first < b.first;
-    };
-    const std::size_t b0 = st.blockMap.size();
-    for (const auto &[orig, off] : fs.blockOffsets)
-        st.blockMap.emplace_back(orig, base + off);
-    std::sort(st.blockMap.begin() +
-                  static_cast<std::ptrdiff_t>(b0),
-              st.blockMap.end(), byOrig);
-    const std::size_t i0 = st.insnMap.size();
-    for (const auto &[orig, off] : fs.insnOffsets)
-        st.insnMap.emplace_back(orig, base + off);
-    std::sort(st.insnMap.begin() +
-                  static_cast<std::ptrdiff_t>(i0),
-              st.insnMap.end(), byOrig);
+    EngineResult &r = st.engine.result_;
+    std::vector<AddrPairMap::Pair> blocks, insns;
+    addRelocated(blocks, fs.blockOffsets, base);
+    addRelocated(insns, fs.insnOffsets, base);
+    r.blockMap.append(std::move(blocks));
+    r.insnMap.append(std::move(insns));
     for (const auto &[off, orig] : fs.raOffsets)
-        st.raPairs.emplace_back(base + off, orig);
+        r.raPairs.emplace_back(base + off, orig);
 
     return {func.entry, base, fs.size};
 }
@@ -1121,99 +1053,28 @@ IncrementalEngine::layoutEnd() const
 std::vector<std::uint8_t>
 IncrementalEngine::emitFunction(const Function &func, Addr base)
 {
-    State &st = *st_;
-    Engine::FuncStream fs = st.engine.emitFunctionStream(func, base);
-    for (const auto &[addr, label] : fs.externalLabels) {
-        std::optional<Addr> target = lookupBlock(addr);
-        icp_assert(target.has_value(),
-                   "external block 0x%llx not relocated",
-                   static_cast<unsigned long long>(addr));
-        fs.as->bindAt(label, *target);
-    }
-    return fs.as->finalize();
+    Engine::FuncStream fs = st_->engine.emitFunctionStream(func, base);
+    return st_->engine.finalizeStream(fs);
 }
 
 std::vector<std::uint8_t>
 IncrementalEngine::paddingBytes(Addr from, Addr to) const
 {
-    // The same bytes Engine::appendAlignment produces for the gap.
     std::vector<std::uint8_t> out;
-    Addr addr = from;
-    while (addr < to) {
-        const bool ok = st_->engine.arch_.codec->encode(
-            makeNop(), addr, out);
-        icp_assert(ok, "nop encode failed");
-        addr = from + out.size();
-    }
-    icp_assert(addr == to, "alignment overshot");
+    st_->engine.appendPadding(out, from, to);
     return out;
 }
 
-namespace
+const EngineResult &
+IncrementalEngine::result() const
 {
-
-std::optional<Addr>
-flatLookup(const std::vector<std::pair<Addr, Addr>> &map, Addr orig)
-{
-    auto it = std::lower_bound(
-        map.begin(), map.end(), orig,
-        [](const std::pair<Addr, Addr> &p, Addr v) {
-            return p.first < v;
-        });
-    if (it == map.end() || it->first != orig)
-        return std::nullopt;
-    return it->second;
-}
-
-} // namespace
-
-std::optional<Addr>
-IncrementalEngine::lookupBlock(Addr orig) const
-{
-    return flatLookup(st_->blockMap, orig);
-}
-
-std::optional<Addr>
-IncrementalEngine::lookupInsn(Addr orig) const
-{
-    return flatLookup(st_->insnMap, orig);
-}
-
-const std::vector<std::pair<Addr, Addr>> &
-IncrementalEngine::raPairs() const
-{
-    return st_->raPairs;
-}
-
-const std::vector<TableClone> &
-IncrementalEngine::clones() const
-{
-    return st_->engine.result_.clones;
-}
-
-const std::map<Addr, std::uint32_t> &
-IncrementalEngine::blockCounters() const
-{
-    return st_->engine.result_.blockCounters;
-}
-
-const std::map<Addr, std::uint32_t> &
-IncrementalEngine::entryCounters() const
-{
-    return st_->engine.result_.entryCounters;
+    return st_->engine.result_;
 }
 
 std::vector<std::uint8_t>
 IncrementalEngine::cloneBytes() const
 {
-    std::vector<std::uint8_t> out;
-    const auto lookup = [&](Addr a) { return lookupBlock(a); };
-    for (const TableClone &clone : st_->engine.result_.clones) {
-        fillCloneEntries(clone,
-                         st_->engine.cfg_opts_.newRodataBase, lookup,
-                         out);
-    }
-    return out;
+    return st_->engine.cloneBytes();
 }
 
 } // namespace icp

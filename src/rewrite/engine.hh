@@ -12,11 +12,11 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
 #include "analysis/cfg.hh"
+#include "binfmt/addr_map.hh"
 #include "rewrite/options.hh"
 
 namespace icp
@@ -93,10 +93,10 @@ struct EngineResult
     std::vector<std::uint8_t> newRodataBytes;
 
     /** Original block start -> relocated address. */
-    std::map<Addr, Addr> blockMap;
+    AddrPairMap blockMap;
 
     /** Original instruction -> relocated address. */
-    std::map<Addr, Addr> insnMap;
+    AddrPairMap insnMap;
 
     /** (relocated return address -> original return address). */
     std::vector<std::pair<Addr, Addr>> raPairs;
@@ -171,23 +171,15 @@ class IncrementalEngine
     /** The inter-span alignment padding bytes (encoded nops). */
     std::vector<std::uint8_t> paddingBytes(Addr from, Addr to) const;
 
-    /** Relocated address of an original block start, if relocated. */
-    std::optional<Addr> lookupBlock(Addr orig) const;
-
-    /** Relocated address of an original instruction, if relocated. */
-    std::optional<Addr> lookupInsn(Addr orig) const;
-
-    /** (relocated RA -> original RA), emission order. */
-    const std::vector<std::pair<Addr, Addr>> &raPairs() const;
-
-    const std::vector<TableClone> &clones() const;
+    /**
+     * What the passes so far produced: the block / instruction / RA
+     * maps of every laid-out function, the planned clones and the
+     * counter ids. Its byte payloads and spans stay empty.
+     */
+    const EngineResult &result() const;
 
     /** The .newrodata payload (valid after all layoutFunction calls). */
     std::vector<std::uint8_t> cloneBytes() const;
-
-    /** Counter-id maps (block start / entry -> CallRt id). */
-    const std::map<Addr, std::uint32_t> &blockCounters() const;
-    const std::map<Addr, std::uint32_t> &entryCounters() const;
 
   private:
     struct State;

@@ -3,7 +3,7 @@
  * The rewrite manifest: a structured record of every artifact the
  * rewriter emitted — trampoline patches with their byte extents,
  * cloned jump tables, rewritten function-pointer cells, donated
- * scratch ranges, and copies of the address maps. The static
+ * scratch ranges, and the address maps. The static
  * soundness verifier (src/verify/) checks the rewritten image
  * against this record; the rewriter fills it when
  * RewriteOptions::lint is set.
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "analysis/datadeps.hh"
+#include "binfmt/addr_map.hh"
 #include "rewrite/trampoline.hh"
 
 namespace icp
@@ -92,10 +93,10 @@ struct RewriteManifest
     bool populated = false;
 
     /** Original block start -> relocated address. */
-    std::map<Addr, Addr> blockMap;
+    AddrPairMap blockMap;
 
     /** Original instruction -> relocated address. */
-    std::map<Addr, Addr> insnMap;
+    AddrPairMap insnMap;
 
     /** (relocated return address -> original return address). */
     std::vector<std::pair<Addr, Addr>> raPairs;

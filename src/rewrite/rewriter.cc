@@ -77,9 +77,6 @@ alignUp(Addr v, Addr align)
     return (v + align - 1) & ~(align - 1);
 }
 
-/** Relocated address of an original address, if relocated. */
-using BlockLookup = std::function<std::optional<Addr>(Addr)>;
-
 /** Mutable working copy of the output image under construction. */
 class Rewriter
 {
@@ -95,6 +92,10 @@ class Rewriter
     RewriteResult runSharded(SbfSink &sink);
 
   private:
+    bool optionsConflict();
+    EngineConfig engineConfig();
+    std::shared_ptr<const LivenessResult>
+    livenessFor(const Function &func) const;
     /** A .instr patch that must wait for the emission pass (the
      *  streaming path patches function bytes in flight instead of a
      *  materialized section). */
@@ -112,23 +113,23 @@ class Rewriter
     void recordDonation(Addr addr, std::uint64_t len);
     Addr funcEntryOf(Addr a) const;
     bool injectSiteAllowed(Addr func_entry) const;
-    void fillManifest(const EngineResult &engine);
+    void fillManifest(EngineResult &engine);
     void injectByteDefect();
     void installTrampolines(const EngineResult &engine);
     void trampolineBegin();
     void trampolineFunc(const Function &func,
                         const std::set<Addr> &cfl,
                         const LivenessResult *live,
-                        const BlockLookup &lookup);
+                        const AddrPairMap &block_map);
     void trampolineFinish();
     void accountTrampoline(const TrampolineRequest &req,
                            Addr func_entry,
                            const TrampolineOut &installed);
-    void rewriteFuncPtrs(const BlockLookup &block_lookup,
-                         const BlockLookup &insn_lookup,
+    void rewriteFuncPtrs(const AddrPairMap &block_map,
+                         const AddrPairMap &insn_map,
                          std::vector<InstrPatch> *deferred);
     void patchCodeDef(const FuncPtrDef &def, Addr new_target,
-                      const BlockLookup &insn_lookup,
+                      const AddrPairMap &insn_map,
                       std::vector<InstrPatch> *deferred);
     static void applyFuncPtrMutation(const BinaryImage &input,
                                      Instruction &in, Addr new_target);
@@ -138,7 +139,9 @@ class Rewriter
                                 &mutate);
     void clobberOriginal(
         const std::vector<std::pair<Addr, Addr>> &func_ranges);
-    void addCodeSections(const EngineResult &engine);
+    void addCodeSections(std::vector<std::uint8_t> instr_bytes,
+                         std::uint64_t instr_size,
+                         std::vector<std::uint8_t> rodata);
     void buildSections(std::uint64_t instr_size,
                        std::uint64_t rodata_size,
                        const std::vector<std::pair<Addr, Addr>>
@@ -413,52 +416,51 @@ Rewriter::installTrampolines(const EngineResult &engine)
                 const Function &func = *funcs[i];
                 pre[i].func = &func;
                 pre[i].cfl = cflBlocks(func);
-                if (!arch_.fixedLength)
-                    return;
-                const bool cached =
-                    opts_.useAnalysisCache && func.cacheKey != 0;
-                if (cached) {
-                    if (auto hit =
-                            AnalysisCache::global().findLiveness(
-                                func.cacheKey, func.entry)) {
-                        pre[i].live = hit;
-                        return;
-                    }
-                }
-                pre[i].live = std::make_shared<LivenessResult>(
-                    computeLiveness(func, arch_));
-                if (cached) {
-                    AnalysisCache::global().storeLiveness(
-                        func.cacheKey, input_.arch, func.entry,
-                        *pre[i].live);
-                }
+                pre[i].live = livenessFor(func);
             });
     }
 
     StageTimer timer(Stage::trampoline);
-
-    const BlockLookup lookup = [&](Addr a) -> std::optional<Addr> {
-        auto it = engine.blockMap.find(a);
-        if (it == engine.blockMap.end())
-            return std::nullopt;
-        return it->second;
-    };
     for (const FuncPre &p : pre)
-        trampolineFunc(*p.func, p.cfl, p.live.get(), lookup);
+        trampolineFunc(*p.func, p.cfl, p.live.get(), engine.blockMap);
     trampolineFinish();
+}
+
+/**
+ * Liveness for @p func on the fixed-length ISAs (null elsewhere),
+ * memoized in the analysis cache under the function's CFG key.
+ */
+std::shared_ptr<const LivenessResult>
+Rewriter::livenessFor(const Function &func) const
+{
+    if (!arch_.fixedLength)
+        return nullptr;
+    const bool cached = opts_.useAnalysisCache && func.cacheKey != 0;
+    if (cached) {
+        if (auto hit = AnalysisCache::global().findLiveness(
+                func.cacheKey, func.entry))
+            return hit;
+    }
+    auto live = std::make_shared<const LivenessResult>(
+        computeLiveness(func, arch_));
+    if (cached) {
+        AnalysisCache::global().storeLiveness(
+            func.cacheKey, input_.arch, func.entry, *live);
+    }
+    return live;
 }
 
 /**
  * Phase 1 for one function: in-place installs; unused superblock
  * bytes (source 2 of §7's scratch space) are donated to the pool for
- * phase 2. @p lookup resolves an original block start to its
+ * phase 2. @p block_map resolves an original block start to its
  * relocated address; @p live may be null on variable-length ISAs.
  */
 void
 Rewriter::trampolineFunc(const Function &func,
                          const std::set<Addr> &cfl,
                          const LivenessResult *live,
-                         const BlockLookup &lookup)
+                         const AddrPairMap &block_map)
 {
     result_.stats.cflBlocks += cfl.size();
     result_.stats.totalBlocks += func.blocks.size();
@@ -506,7 +508,7 @@ Rewriter::trampolineFunc(const Function &func,
         TrampolineRequest req;
         req.at = start;
         req.space = se - start;
-        const std::optional<Addr> target = lookup(start);
+        const std::optional<Addr> target = block_map.lookup(start);
         icp_assert(target.has_value(),
                    "CFL block 0x%llx not relocated",
                    static_cast<unsigned long long>(start));
@@ -684,7 +686,7 @@ Rewriter::applyFuncPtrMutation(const BinaryImage &input,
 
 void
 Rewriter::patchCodeDef(const FuncPtrDef &def, Addr new_target,
-                       const BlockLookup &insn_lookup,
+                       const AddrPairMap &insn_map,
                        std::vector<InstrPatch> *deferred)
 {
     // Decide where the defining instructions live now: inside
@@ -699,7 +701,7 @@ Rewriter::patchCodeDef(const FuncPtrDef &def, Addr new_target,
     for (Addr orig : def.defAddrs) {
         Addr at = orig;
         Section *sec = text;
-        if (const std::optional<Addr> relocated = insn_lookup(orig)) {
+        if (const std::optional<Addr> relocated = insn_map.lookup(orig)) {
             at = *relocated;
             sec = instr;
             if (deferred) {
@@ -717,8 +719,8 @@ Rewriter::patchCodeDef(const FuncPtrDef &def, Addr new_target,
 }
 
 void
-Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
-                          const BlockLookup &insn_lookup,
+Rewriter::rewriteFuncPtrs(const AddrPairMap &block_map,
+                          const AddrPairMap &insn_map,
                           std::vector<InstrPatch> *deferred)
 {
     for (const auto &def : funcPtrs_.defs) {
@@ -732,7 +734,7 @@ Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
             // Point at the relocated block start so entry
             // instrumentation still runs.
             const std::optional<Addr> relocated =
-                block_lookup(def.funcEntry);
+                block_map.lookup(def.funcEntry);
             if (!relocated)
                 continue; // not relocated; pointer stays valid
             new_value = *relocated;
@@ -740,7 +742,7 @@ Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
             const Addr use_point = def.funcEntry +
                                    static_cast<Addr>(def.delta);
             const std::optional<Addr> relocated =
-                insn_lookup(use_point);
+                insn_map.lookup(use_point);
             if (!relocated)
                 continue;
             new_value = *relocated - static_cast<Addr>(def.delta);
@@ -768,7 +770,7 @@ Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
             result_.stats.rewrittenFuncPtrs++;
             patch.kind = FuncPtrPatch::Kind::dataCell;
         } else {
-            patchCodeDef(def, new_value, insn_lookup, deferred);
+            patchCodeDef(def, new_value, insn_map, deferred);
             result_.stats.rewrittenFuncPtrs++;
             patch.kind = FuncPtrPatch::Kind::codeDef;
         }
@@ -806,25 +808,29 @@ Rewriter::clobberOriginal(
     }
 }
 
+/** Add .instr (@p instr_bytes stays empty while the payload is
+ *  streamed) and, when there are clones, .newrodata. */
 void
-Rewriter::addCodeSections(const EngineResult &engine)
+Rewriter::addCodeSections(std::vector<std::uint8_t> instr_bytes,
+                          std::uint64_t instr_size,
+                          std::vector<std::uint8_t> rodata)
 {
     Section instr;
     instr.name = ".instr";
     instr.kind = SectionKind::instr;
     instr.addr = instrBase_;
-    instr.bytes = engine.instrBytes;
-    instr.memSize = instr.bytes.size();
+    instr.bytes = std::move(instr_bytes);
+    instr.memSize = instr_size;
     instr.executable = true;
     out_.addSection(std::move(instr));
 
-    if (!engine.newRodataBytes.empty()) {
+    if (!rodata.empty()) {
         Section ro;
         ro.name = ".newrodata";
         ro.kind = SectionKind::newRodata;
         ro.addr = newRodataBase_;
-        ro.bytes = engine.newRodataBytes;
-        ro.memSize = ro.bytes.size();
+        ro.memSize = rodata.size();
+        ro.bytes = std::move(rodata);
         out_.addSection(std::move(ro));
     }
 }
@@ -908,15 +914,16 @@ Rewriter::injectSiteAllowed(Addr func_entry) const
            it->second.name == opts_.injectOnlyFunction;
 }
 
+/** Record the rewrite in the manifest; takes @p engine's maps. */
 void
-Rewriter::fillManifest(const EngineResult &engine)
+Rewriter::fillManifest(EngineResult &engine)
 {
     RewriteManifest &m = result_.manifest;
     m.populated = true;
-    m.blockMap = engine.blockMap;
-    m.insnMap = engine.insnMap;
-    m.raPairs = engine.raPairs;
-    m.funcSpans = engine.funcSpans;
+    m.blockMap = std::move(engine.blockMap);
+    m.insnMap = std::move(engine.insnMap);
+    m.raPairs = std::move(engine.raPairs);
+    m.funcSpans = std::move(engine.funcSpans);
     m.instrumented = instrumented_;
     for (const auto &[entry, func] : cfg_->functions)
         m.dataDeps[entry] = func.dataDeps;
@@ -1027,7 +1034,7 @@ Rewriter::injectByteDefect()
             for (unsigned i = 0; i < c.entryCount; ++i) {
                 const Addr orig =
                     i < c.origTargets.size() ? c.origTargets[i] : 0;
-                if (!m.blockMap.count(orig))
+                if (!m.blockMap.lookup(orig))
                     continue;
                 const Addr at =
                     c.cloneAddr + std::uint64_t{i} * c.entrySize;
@@ -1209,15 +1216,53 @@ Rewriter::injectByteDefect()
     }
 }
 
-RewriteResult
-Rewriter::run()
+/** Whether the options cannot combine at all (sets failReason). */
+bool
+Rewriter::optionsConflict()
 {
     if (opts_.reachabilityPruning && opts_.clobberOriginal) {
         result_.failReason = "reachability pruning lets original "
                              "code execute; it cannot be combined "
                              "with clobbering";
-        return result_;
+        return true;
     }
+    return false;
+}
+
+/**
+ * Place .instr above the input's loaded image and .newrodata after
+ * .instr's window, and configure the engine for the options.
+ */
+EngineConfig
+Rewriter::engineConfig()
+{
+    instrBase_ = input_.highWaterMark(4096);
+    // Estimate .instr extent to place .newrodata after it: snippets
+    // and veneers expand code; 4x the original text is a safe bound.
+    const Section *text = input_.findSection(SectionKind::text);
+    icp_assert(text, "input has no .text");
+    newRodataBase_ =
+        alignUp(instrBase_ + text->memSize * 4 + 0x10000, 4096);
+
+    EngineConfig config;
+    config.mode = opts_.mode;
+    config.callEmulation = !opts_.raTranslation;
+    config.instrumentation = opts_.instrumentation;
+    config.functionOrder = opts_.functionOrder;
+    config.blockOrder = opts_.blockOrder;
+    config.instrBase = instrBase_;
+    config.newRodataBase = newRodataBase_;
+    config.goRaTranslation =
+        opts_.raTranslation && input_.features.isGo;
+    config.threads = opts_.threads;
+    return config;
+}
+
+RewriteResult
+Rewriter::run()
+{
+    if (optionsConflict())
+        return result_;
     if (pass_.cfg) {
         // Session reuse: the caller's analysis artifacts are
         // authoritative; skip CFG construction entirely.
@@ -1245,19 +1290,7 @@ Rewriter::run()
     result_.stats.originalLoadedSize = input_.loadedSize();
 
     out_ = input_;
-
-    instrBase_ = input_.highWaterMark(4096);
-    // Reserve a generous window for .instr; clones follow.
-    EngineConfig config;
-    config.mode = opts_.mode;
-    config.callEmulation = !opts_.raTranslation;
-    config.instrumentation = opts_.instrumentation;
-    config.functionOrder = opts_.functionOrder;
-    config.blockOrder = opts_.blockOrder;
-    config.instrBase = instrBase_;
-    config.goRaTranslation =
-        opts_.raTranslation && input_.features.isGo;
-    config.threads = opts_.threads;
+    EngineConfig config = engineConfig();
 
     // Selective re-rewrite: hand the engine the previous pass's
     // layout and bytes so only pass_.dirtyFunctions re-emit.
@@ -1272,14 +1305,6 @@ Rewriter::run()
         }
     }
 
-    // Estimate .instr extent to place .newrodata after it: snippets
-    // and veneers expand code; 4x the original text is a safe bound.
-    const Section *text = input_.findSection(SectionKind::text);
-    icp_assert(text, "input has no .text");
-    newRodataBase_ =
-        alignUp(instrBase_ + text->memSize * 4 + 0x10000, 4096);
-    config.newRodataBase = newRodataBase_;
-
     EngineResult engine =
         relocateFunctions(*cfg_, instrumented_, config);
     result_.stats.relocEmittedFunctions = engine.emittedFunctions;
@@ -1287,23 +1312,10 @@ Rewriter::run()
     icp_assert(instrBase_ + engine.instrBytes.size() <= newRodataBase_,
                ".instr overflowed its window");
 
-    addCodeSections(engine);
+    addCodeSections(engine.instrBytes, engine.instrBytes.size(),
+                    engine.newRodataBytes);
     installTrampolines(engine);
-    const BlockLookup block_lookup =
-        [&](Addr a) -> std::optional<Addr> {
-        auto it = engine.blockMap.find(a);
-        if (it == engine.blockMap.end())
-            return std::nullopt;
-        return it->second;
-    };
-    const BlockLookup insn_lookup =
-        [&](Addr a) -> std::optional<Addr> {
-        auto it = engine.insnMap.find(a);
-        if (it == engine.insnMap.end())
-            return std::nullopt;
-        return it->second;
-    };
-    rewriteFuncPtrs(block_lookup, insn_lookup, nullptr);
+    rewriteFuncPtrs(engine.blockMap, engine.insnMap, nullptr);
     if (opts_.clobberOriginal) {
         std::vector<std::pair<Addr, Addr>> ranges;
         for (const auto &[entry, func] : cfg_->functions) {
@@ -1346,12 +1358,8 @@ Rewriter::run()
 RewriteResult
 Rewriter::runSharded(SbfSink &sink)
 {
-    if (opts_.reachabilityPruning && opts_.clobberOriginal) {
-        result_.failReason = "reachability pruning lets original "
-                             "code execute; it cannot be combined "
-                             "with clobbering";
+    if (optionsConflict())
         return result_;
-    }
     if (opts_.functionOrder != OrderPolicy::original ||
         opts_.blockOrder != OrderPolicy::original) {
         result_.failReason =
@@ -1416,21 +1424,8 @@ Rewriter::runSharded(SbfSink &sink)
     // Legacy-identical base state: mutate only the copy; every shard
     // CFG decodes the unmutated input.
     out_ = input_;
-    instrBase_ = input_.highWaterMark(4096);
-    EngineConfig config;
-    config.mode = opts_.mode;
-    config.callEmulation = !opts_.raTranslation;
-    config.instrumentation = opts_.instrumentation;
-    config.instrBase = instrBase_;
-    config.goRaTranslation =
-        opts_.raTranslation && input_.features.isGo;
+    EngineConfig config = engineConfig();
     config.threads = 1;
-    const Section *text = input_.findSection(SectionKind::text);
-    icp_assert(text, "input has no .text");
-    newRodataBase_ =
-        alignUp(instrBase_ + text->memSize * 4 + 0x10000, 4096);
-    config.newRodataBase = newRodataBase_;
-
     IncrementalEngine engine(input_, config);
     FuncPtrScanner scanner(input_);
 
@@ -1483,12 +1478,6 @@ Rewriter::runSharded(SbfSink &sink)
     // layout completes.
     trampolineBegin();
     std::vector<FuncSpan> spans;
-    const BlockLookup block_lookup = [&](Addr a) {
-        return engine.lookupBlock(a);
-    };
-    const BlockLookup insn_lookup = [&](Addr a) {
-        return engine.lookupInsn(a);
-    };
     for (const ShardRange &r : ranges) {
         const CfgModule cfg = buildShard(r);
         cfg_ = &cfg;
@@ -1500,28 +1489,13 @@ Rewriter::runSharded(SbfSink &sink)
             }
             const std::set<Addr> cfl = cflBlocks(func);
             std::shared_ptr<const LivenessResult> live;
-            if (arch_.fixedLength) {
+            {
                 StageTimer timer(Stage::liveness);
-                const bool cached =
-                    opts_.useAnalysisCache && func.cacheKey != 0;
-                if (cached) {
-                    live = AnalysisCache::global().findLiveness(
-                        func.cacheKey, func.entry);
-                }
-                if (!live) {
-                    auto computed =
-                        std::make_shared<LivenessResult>(
-                            computeLiveness(func, arch_));
-                    if (cached) {
-                        AnalysisCache::global().storeLiveness(
-                            func.cacheKey, input_.arch, func.entry,
-                            *computed);
-                    }
-                    live = std::move(computed);
-                }
+                live = livenessFor(func);
             }
             StageTimer timer(Stage::trampoline);
-            trampolineFunc(func, cfl, live.get(), block_lookup);
+            trampolineFunc(func, cfl, live.get(),
+                           engine.result().blockMap);
         }
         cfg_ = nullptr;
     }
@@ -1541,38 +1515,24 @@ Rewriter::runSharded(SbfSink &sink)
     // .instr payload alone stays unmaterialized (empty bytes, full
     // memSize); func-ptr patches that land in it are deferred to the
     // emission pass.
-    Section instr;
-    instr.name = ".instr";
-    instr.kind = SectionKind::instr;
-    instr.addr = instrBase_;
-    instr.memSize = instr_size;
-    instr.executable = true;
-    out_.addSection(std::move(instr));
-
     std::vector<std::uint8_t> rodata = engine.cloneBytes();
     const std::uint64_t rodata_size = rodata.size();
-    if (!rodata.empty()) {
-        Section ro;
-        ro.name = ".newrodata";
-        ro.kind = SectionKind::newRodata;
-        ro.addr = newRodataBase_;
-        ro.memSize = rodata.size();
-        ro.bytes = std::move(rodata);
-        out_.addSection(std::move(ro));
-    }
+    addCodeSections({}, instr_size, std::move(rodata));
 
     std::vector<InstrPatch> deferred;
-    rewriteFuncPtrs(block_lookup, insn_lookup, &deferred);
+    rewriteFuncPtrs(engine.result().blockMap,
+                    engine.result().insnMap, &deferred);
     if (opts_.clobberOriginal)
         clobberOriginal(instr_ranges);
     {
         StageTimer timer(Stage::output);
-        buildSections(instr_size, rodata_size, engine.raPairs());
+        buildSections(instr_size, rodata_size,
+                      engine.result().raPairs);
     }
-    result_.stats.clonedTables = engine.clones().size();
+    result_.stats.clonedTables = engine.result().clones.size();
     result_.stats.rewrittenLoadedSize = out_.loadedSize();
-    result_.blockCounters = engine.blockCounters();
-    result_.entryCounters = engine.entryCounters();
+    result_.blockCounters = engine.result().blockCounters;
+    result_.entryCounters = engine.result().entryCounters;
 
     // Pass B — emit and stream. Emission is deterministic in (CFG,
     // base), so re-emitting at the recorded spans with the complete
@@ -1658,6 +1618,37 @@ Rewriter::runSharded(SbfSink &sink)
     return result_;
 }
 
+/**
+ * Cross-invocation persistence around @p rewrite: merge the on-disk
+ * cache before analysis runs, write it back after a successful
+ * rewrite. Both directions are best-effort — a corrupt or unwritable
+ * file can only cost analysis reuse, never correctness.
+ */
+template <typename Rewrite>
+RewriteResult
+withDiskCache(const BinaryImage &input, const RewriteOptions &options,
+              const Rewrite &rewrite)
+{
+    const bool persist =
+        !options.cachePath.empty() && options.useAnalysisCache;
+    CacheLoadReport cache_load;
+    if (persist) {
+        StageTimer timer(Stage::cacheLoad);
+        cache_load = AnalysisCache::global().load(options.cachePath,
+                                                  input.arch);
+    }
+
+    RewriteResult result = rewrite();
+    result.cacheLoad = std::move(cache_load);
+
+    if (persist && result.ok) {
+        StageTimer timer(Stage::cacheSave);
+        AnalysisCache::global().save(options.cachePath,
+                                     options.cacheMaxBytes);
+    }
+    return result;
+}
+
 } // namespace
 
 RewriteResult
@@ -1671,29 +1662,9 @@ RewriteResult
 rewriteBinary(const BinaryImage &input, const RewriteOptions &options,
               const RewritePass &pass)
 {
-    // Cross-invocation persistence: merge the on-disk cache before
-    // analysis runs, write it back after a successful rewrite. Both
-    // directions are best-effort — a corrupt or unwritable file can
-    // only cost analysis reuse, never correctness.
-    const bool persist =
-        !options.cachePath.empty() && options.useAnalysisCache;
-    CacheLoadReport cache_load;
-    if (persist) {
-        StageTimer timer(Stage::cacheLoad);
-        cache_load = AnalysisCache::global().load(options.cachePath,
-                                                  input.arch);
-    }
-
-    Rewriter rewriter(input, options, pass);
-    RewriteResult result = rewriter.run();
-    result.cacheLoad = std::move(cache_load);
-
-    if (persist && result.ok) {
-        StageTimer timer(Stage::cacheSave);
-        AnalysisCache::global().save(options.cachePath,
-                                     options.cacheMaxBytes);
-    }
-    return result;
+    return withDiskCache(input, options, [&] {
+        return Rewriter(input, options, pass).run();
+    });
 }
 
 RewriteResult
@@ -1702,26 +1673,10 @@ rewriteBinarySharded(const BinaryImage &input,
 {
     // The load here only produces the user-facing report; the
     // coordinator re-merges the file itself, shard by shard.
-    const bool persist =
-        !options.cachePath.empty() && options.useAnalysisCache;
-    CacheLoadReport cache_load;
-    if (persist) {
-        StageTimer timer(Stage::cacheLoad);
-        cache_load = AnalysisCache::global().load(options.cachePath,
-                                                  input.arch);
-    }
-
     const RewritePass pass;
-    Rewriter rewriter(input, options, pass);
-    RewriteResult result = rewriter.runSharded(sink);
-    result.cacheLoad = std::move(cache_load);
-
-    if (persist && result.ok) {
-        StageTimer timer(Stage::cacheSave);
-        AnalysisCache::global().save(options.cachePath,
-                                     options.cacheMaxBytes);
-    }
-    return result;
+    return withDiskCache(input, options, [&] {
+        return Rewriter(input, options, pass).runSharded(sink);
+    });
 }
 
 } // namespace icp

@@ -279,6 +279,10 @@ RewriteSession::loadInput(BinaryImage newImage)
                 result_.image.writeBytes(p.site, raw);
             }
         }
+        // This operation re-emitted nothing.
+        result_.stats.relocEmittedFunctions = 0;
+        result_.stats.relocReusedFunctions =
+            result_.stats.instrumentedFunctions;
         return out;
     }
 

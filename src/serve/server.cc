@@ -526,7 +526,7 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
         return false;
     }
 
-    std::uint64_t dirty = 0, emitted = 0;
+    std::uint64_t dirty = 0;
     bool incremental = false;
     if (!resident.everRewritten) {
         resident.session =
@@ -538,7 +538,6 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
             resident.session.reset();
             return false;
         }
-        emitted = rw.stats.relocEmittedFunctions;
         resident.everRewritten = true;
     } else {
         const auto outcome =
@@ -554,17 +553,10 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
                 error = "rewrite failed: " + rw.failReason;
                 return false;
             }
-            emitted = rw.stats.relocEmittedFunctions;
-        } else {
-            if (!resident.session->lastResult().ok) {
-                error = "incremental rewrite failed: " +
-                        resident.session->lastResult().failReason;
-                return false;
-            }
-            emitted = dirty == 0
-                          ? 0
-                          : resident.session->lastResult()
-                                .stats.relocEmittedFunctions;
+        } else if (!resident.session->lastResult().ok) {
+            error = "incremental rewrite failed: " +
+                    resident.session->lastResult().failReason;
+            return false;
         }
     }
 
@@ -578,7 +570,8 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
     reply.set("incremental", std::uint64_t{incremental ? 1u : 0u});
     reply.set("cached", std::uint64_t{0});
     reply.set("dirty", dirty);
-    reply.set("emitted", emitted);
+    reply.set("emitted",
+              std::uint64_t{rw.stats.relocEmittedFunctions});
     reply.set("reused",
               std::uint64_t{rw.stats.relocReusedFunctions});
     reply.set("functions", std::uint64_t{rw.stats.totalFunctions});

@@ -50,9 +50,9 @@ class Checker
           arch_(rew.archInfo()),
           instr_(rew.findSection(SectionKind::instr))
     {
-        for (const auto &kv : m_.blockMap)
+        for (const auto &kv : m_.blockMap.pairs())
             boundaries_.insert(kv.second);
-        for (const auto &kv : m_.insnMap)
+        for (const auto &kv : m_.insnMap.pairs())
             boundaries_.insert(kv.second);
     }
 
@@ -582,23 +582,25 @@ class Checker
             if (*p.origBase == p.origTableAddr) {
                 base_new = p.cloneAddr;
             } else {
-                auto bb = m_.blockMap.find(*p.origBase);
-                if (bb == m_.blockMap.end()) {
+                const std::optional<Addr> bb =
+                    m_.blockMap.lookup(*p.origBase);
+                if (!bb) {
                     report("jt-clone-target", Severity::error,
                            p.jumpAddr, p.cloneAddr, p.funcEntry,
                            "table base anchor " + hex(*p.origBase) +
                                " was not relocated");
                     return;
                 }
-                base_new = bb->second;
+                base_new = *bb;
             }
         }
         const unsigned n = std::min<unsigned>(
             p.entryCount,
             static_cast<unsigned>(p.origTargets.size()));
         for (unsigned i = 0; i < n; ++i) {
-            auto ti = m_.blockMap.find(p.origTargets[i]);
-            if (ti == m_.blockMap.end())
+            const std::optional<Addr> expect =
+                m_.blockMap.lookup(p.origTargets[i]);
+            if (!expect)
                 continue;
             const Addr at = p.cloneAddr +
                             static_cast<Addr>(i) * p.entrySize;
@@ -619,13 +621,13 @@ class Checker
                     static_cast<std::int64_t>(base_new) +
                     (signExtend(*value, p.entrySize * 8)
                      << p.shift));
-            if (actual != ti->second) {
+            if (actual != *expect) {
                 report("jt-clone-target", Severity::error,
                        p.origTargets[i], at, p.funcEntry,
                        "clone entry " + std::to_string(i) +
                            " decodes to " + hex(actual) +
                            ", expected relocated block " +
-                           hex(ti->second));
+                           hex(*expect));
                 return; // one finding per clone
             }
         }
@@ -723,10 +725,10 @@ class Checker
     }
 
     void
-    checkMapInto(const char *what, const std::map<Addr, Addr> &map)
+    checkMapInto(const char *what, const AddrPairMap &map)
     {
-        std::map<Addr, Addr> reverse;
-        for (const auto &[o, n] : map) {
+        std::vector<std::pair<Addr, Addr>> reverse; // (new, orig)
+        for (const auto &[o, n] : map.pairs()) {
             if (!instr_ || !instr_->contains(n)) {
                 report("addr-map-round-trip", Severity::error, o, n,
                        o,
@@ -734,14 +736,18 @@ class Checker
                            " to " + hex(n) + ", outside .instr");
                 return;
             }
-            if (!reverse.emplace(n, o).second) {
-                report("addr-map-round-trip", Severity::error, o, n,
-                       o,
-                       std::string(what) + " is not injective: " +
-                           hex(reverse[n]) + " and " + hex(o) +
-                           " both map to " + hex(n));
-                return;
-            }
+            reverse.emplace_back(n, o);
+        }
+        std::sort(reverse.begin(), reverse.end());
+        for (std::size_t i = 1; i < reverse.size(); ++i) {
+            const auto [n, o] = reverse[i];
+            if (n != reverse[i - 1].first)
+                continue;
+            report("addr-map-round-trip", Severity::error, o, n, o,
+                   std::string(what) + " is not injective: " +
+                       hex(reverse[i - 1].second) + " and " + hex(o) +
+                       " both map to " + hex(n));
+            return;
         }
     }
 

@@ -60,6 +60,48 @@ TEST(AddrPairMap, SerializationRoundTrip)
     EXPECT_EQ(back.pairs(), map.pairs());
 }
 
+TEST(AddrPairMap, AppendAndReplaceRangeMatchReferenceMap)
+{
+    // Grow the map per "function" (ascending key runs, each shuffled),
+    // then splice fresh runs over random key ranges — the engine's
+    // layout and warm-reuse paths — against a std::map reference.
+    Rng rng(77);
+    std::map<Addr, Addr> reference;
+    AddrPairMap map;
+    Addr next = 0x1000;
+    for (int f = 0; f < 200; ++f) {
+        std::vector<std::pair<Addr, Addr>> run;
+        const int n = static_cast<int>(rng.range(0, 12));
+        for (int i = 0; i < n; ++i) {
+            next += rng.range(1, 16);
+            run.emplace_back(next, rng.next());
+            reference[next] = run.back().second;
+        }
+        std::reverse(run.begin(), run.end());
+        map.append(run);
+        next += 64;
+    }
+    EXPECT_EQ(map.pairs(),
+              std::vector<AddrPairMap::Pair>(reference.begin(),
+                                              reference.end()));
+    for (int round = 0; round < 300; ++round) {
+        const Addr lo = rng.range(0x1000, next);
+        const Addr hi = lo + rng.range(0, 256);
+        reference.erase(reference.lower_bound(lo),
+                        reference.lower_bound(hi));
+        std::vector<std::pair<Addr, Addr>> run;
+        for (Addr k = lo; k < hi; k += rng.range(1, 64)) {
+            run.emplace_back(k, rng.next());
+            reference[k] = run.back().second;
+        }
+        map.replaceRange(lo, hi, run);
+        ASSERT_EQ(map.pairs(),
+                  std::vector<AddrPairMap::Pair>(reference.begin(),
+                                                  reference.end()))
+            << "round " << round;
+    }
+}
+
 TEST(EhFrame, RecordsRoundTrip)
 {
     std::vector<FdeRecord> fdes(2);
@@ -125,6 +167,44 @@ TEST(Image, SerializeRoundTripOnRealWorkload)
     EXPECT_EQ(back.relocs.size(), img.relocs.size());
     EXPECT_EQ(back.loadedSize(), img.loadedSize());
     EXPECT_EQ(back.serialize(), img.serialize());
+}
+
+TEST(Image, MalformedAddrMapSectionIsAStructuredIssue)
+{
+    const BinaryImage img =
+        compileProgram(microProfile(Arch::x64, true));
+    auto withTrapMap = [&](std::vector<std::uint8_t> payload) {
+        BinaryImage out = img;
+        Section s;
+        s.name = ".trap_map";
+        s.kind = SectionKind::trapMap;
+        s.addr = out.highWaterMark(4096);
+        s.memSize = payload.size();
+        s.bytes = std::move(payload);
+        out.addSection(std::move(s));
+        std::vector<SbfIssue> issues;
+        const bool ok =
+            BinaryImage::tryDeserialize(out.serialize(), issues)
+                .has_value();
+        return std::make_pair(ok, issues);
+    };
+
+    const std::vector<std::uint8_t> good =
+        AddrPairMap({{0x1000, 0x9000}, {0x1010, 0x9040}}).serialize();
+    EXPECT_TRUE(withTrapMap(good).first);
+
+    const std::vector<std::uint8_t> truncated(good.begin(),
+                                              good.end() - 1);
+    std::vector<std::uint8_t> duplicate = good;
+    std::copy(good.begin() + 4, good.begin() + 12,
+              duplicate.begin() + 20); // second key = first key
+    for (const auto &bad : {truncated, duplicate,
+                            std::vector<std::uint8_t>{1, 0}}) {
+        const auto [ok, issues] = withTrapMap(bad);
+        EXPECT_FALSE(ok);
+        ASSERT_EQ(issues.size(), 1u);
+        EXPECT_EQ(issues[0].rule, "sbf-addr-map") << issues[0].message;
+    }
 }
 
 TEST(Image, SectionAndSymbolAccessors)

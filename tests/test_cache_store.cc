@@ -10,6 +10,7 @@
  * a different rewrite output.
  */
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/builder.hh"
 #include "analysis/cache.hh"
 #include "analysis/cache_store.hh"
 #include "codegen/compiler.hh"
@@ -1068,4 +1070,55 @@ TEST(CacheStore, DataEditAppendsReplacementDepsEntries)
     EXPECT_EQ(DepsCounters::global().hitsRejected.load(),
               rejected_mid);
     EXPECT_EQ(second.image.serialize(), first.image.serialize());
+}
+
+// --- readers against a live writer ----------------------------------------
+
+TEST(CacheStore, ConcurrentSaveLoadNeverSeesTornSegment)
+{
+    // One thread appends a fresh delta segment per round while another
+    // loads the same file in a loop. Readers hold the lock file
+    // shared across open and scan, so none may observe a segment the
+    // writer is still appending.
+    const std::string path = tmpPath("concurrent_save_load");
+    std::remove(path.c_str());
+    const BinaryImage img = compileMicro(Arch::x64);
+    const CfgModule cfg = buildCfg(img, AnalysisOptions{});
+    ASSERT_FALSE(cfg.functions.empty());
+
+    constexpr unsigned rounds = 24;
+    constexpr unsigned copies = 64; // fresh keys per function per round
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        AnalysisCache cache;
+        std::uint64_t key = 1;
+        for (unsigned r = 0; r < rounds; ++r) {
+            for (unsigned c = 0; c < copies; ++c) {
+                for (const auto &[entry, func] : cfg.functions)
+                    cache.storeFunction(key++, img.arch, func,
+                                        img.tocBase);
+            }
+            EXPECT_TRUE(cache.save(path));
+        }
+        done = true;
+    });
+
+    unsigned loads = 0, torn = 0;
+    AnalysisCache reader;
+    for (bool last = false; !last;) {
+        last = done; // one more load after the writer finished
+        reader.clear();
+        const CacheLoadReport rep = reader.load(path, img.arch);
+        if (!rep.fileRead)
+            continue;
+        ++loads;
+        torn += hasIssue(rep, "cache-torn") ? 1 : 0;
+    }
+    writer.join();
+
+    EXPECT_GT(loads, 0u);
+    EXPECT_EQ(torn, 0u) << torn << " of " << loads
+                        << " loads saw a torn segment";
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
 }

@@ -4,9 +4,13 @@
  * binary through compile → rewrite → run → inspect round trips.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -195,6 +199,49 @@ TEST(Cli, LintMalformedContainerReportsRule)
 
     // Non-lint commands fail with the same structured rule id.
     EXPECT_EQ(exitCode("inspect /tmp/icp_cli_trunc.sbf"), 1);
+}
+
+TEST(Cli, RunRejectsMalformedAddrMapWithDiagnostic)
+{
+    ASSERT_EQ(run("compile micro /tmp/icp_cli_am.sbf"), 0);
+    ASSERT_EQ(run("rewrite /tmp/icp_cli_am.sbf /tmp/icp_cli_am_rw.sbf "
+                  "--mode func-ptr"),
+              0);
+    std::vector<char> raw;
+    {
+        std::ifstream in("/tmp/icp_cli_am_rw.sbf", std::ios::binary);
+        raw.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    // Section header after the name: kind(1) addr(8) memSize(8)
+    // flags(1) payload length(4); the payload is count(4) + pairs.
+    const std::string name = ".ra_map";
+    const auto at = std::search(raw.begin(), raw.end(), name.begin(),
+                                name.end());
+    ASSERT_NE(at, raw.end());
+    const std::size_t payload =
+        static_cast<std::size_t>(at - raw.begin()) + name.size() + 22;
+    ASSERT_LE(payload + 28, raw.size());
+    ASSERT_GE(static_cast<unsigned char>(raw[payload]) |
+                  static_cast<unsigned char>(raw[payload + 1]) << 8,
+              2);
+    // Give the second pair the first pair's key.
+    std::copy(raw.begin() + payload + 4, raw.begin() + payload + 12,
+              raw.begin() + payload + 20);
+    {
+        std::ofstream out("/tmp/icp_cli_am_bad.sbf", std::ios::binary);
+        out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
+    }
+
+    // A structured diagnostic and exit 1, not an abort.
+    const int status = std::system(
+        (std::string(ICP_CLI_PATH) + " run /tmp/icp_cli_am_bad.sbf "
+                                     "> /dev/null 2> /tmp/icp_cli_am.err")
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    std::ifstream err("/tmp/icp_cli_am.err");
+    const std::string msg((std::istreambuf_iterator<char>(err)), {});
+    EXPECT_NE(msg.find("sbf-addr-map"), std::string::npos) << msg;
 }
 
 TEST(Cli, RewriteWithLintGate)

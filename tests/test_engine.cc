@@ -176,10 +176,10 @@ TEST(Engine, BlockReorderRepairsFallthrough)
 
     // Entry blocks stay first so callers land correctly.
     for (const auto &[entry, func] : cfg.functions) {
-        auto it = reversed.blockMap.find(entry);
-        ASSERT_NE(it, reversed.blockMap.end());
+        const std::optional<Addr> at = reversed.blockMap.lookup(entry);
+        ASSERT_TRUE(at.has_value());
         for (const auto &[start, block] : func.blocks) {
-            EXPECT_GE(reversed.blockMap.at(start), it->second);
+            EXPECT_GE(reversed.blockMap.lookup(start).value(), *at);
         }
     }
 }
@@ -214,7 +214,7 @@ TEST(Engine, CloneEntriesResolveToRelocatedBlocks)
                 : static_cast<Addr>(value);
             // Every real entry lands on a relocated block start.
             bool found = false;
-            for (const auto &[orig, reloc] : result.blockMap)
+            for (const auto &[orig, reloc] : result.blockMap.pairs())
                 found |= reloc == target;
             EXPECT_TRUE(found) << "entry " << i;
         }
@@ -258,14 +258,68 @@ TEST(Engine, InsnMapCoversEveryRelocatedInstruction)
     for (const auto &[entry, func] : cfg.functions) {
         for (const auto &[start, block] : func.blocks) {
             for (const auto &in : block.insns) {
-                ASSERT_TRUE(result.insnMap.count(in.addr))
+                ASSERT_TRUE(result.insnMap.lookup(in.addr))
                     << std::hex << in.addr;
             }
-            ASSERT_TRUE(result.blockMap.count(start));
+            ASSERT_TRUE(result.blockMap.lookup(start));
             // The block's first instruction relocates at or after
             // the block map entry (snippets come first).
-            EXPECT_GE(result.insnMap.at(block.insns[0].addr),
-                      result.blockMap.at(start));
+            EXPECT_GE(*result.insnMap.lookup(block.insns[0].addr),
+                      *result.blockMap.lookup(start));
         }
     }
 }
+
+class EnginePerArch : public ::testing::TestWithParam<Arch>
+{
+};
+
+TEST_P(EnginePerArch, IncrementalLayoutMatchesMonolithicRun)
+{
+    // The sharded driver's protocol — plan, layout, emit per function
+    // in address order — over a whole CFG reproduces the monolithic
+    // run's maps, counters and bytes exactly.
+    const BinaryImage img = compileProgram(microProfile(GetParam(), true));
+    const CfgModule cfg = buildCfg(img, AnalysisOptions{});
+    const std::set<Addr> all = allFunctions(cfg);
+    EngineConfig config = baseConfig(img);
+    config.instrumentation.countBlocks = true;
+    const EngineResult mono = relocateFunctions(cfg, all, config);
+
+    IncrementalEngine inc(img, config);
+    for (Addr e : all)
+        inc.planFunction(cfg.functions.at(e));
+    std::vector<FuncSpan> spans;
+    for (Addr e : all)
+        spans.push_back(inc.layoutFunction(cfg.functions.at(e)));
+    const EngineResult &r = inc.result();
+    EXPECT_FALSE(r.blockMap.empty());
+    EXPECT_EQ(r.blockMap.pairs(), mono.blockMap.pairs());
+    EXPECT_EQ(r.insnMap.pairs(), mono.insnMap.pairs());
+    EXPECT_EQ(r.raPairs, mono.raPairs);
+    EXPECT_EQ(r.blockCounters, mono.blockCounters);
+    EXPECT_EQ(inc.cloneBytes(), mono.newRodataBytes);
+
+    std::vector<std::uint8_t> bytes;
+    for (const FuncSpan &span : spans) {
+        const auto pad =
+            inc.paddingBytes(config.instrBase + bytes.size(), span.base);
+        bytes.insert(bytes.end(), pad.begin(), pad.end());
+        const auto code =
+            inc.emitFunction(cfg.functions.at(span.entry), span.base);
+        bytes.insert(bytes.end(), code.begin(), code.end());
+    }
+    EXPECT_EQ(bytes, mono.instrBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArches, EnginePerArch,
+    ::testing::Values(Arch::x64, Arch::ppc64le, Arch::aarch64),
+    [](const ::testing::TestParamInfo<Arch> &info) {
+        switch (info.param) {
+          case Arch::x64: return "x64";
+          case Arch::ppc64le: return "ppc64le";
+          case Arch::aarch64: return "aarch64";
+        }
+        return "unknown";
+    });

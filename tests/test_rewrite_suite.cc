@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
 #include "harness/verify.hh"
@@ -19,12 +21,20 @@ using namespace icp;
 namespace
 {
 
+// gtest prints a parameter without a PrintTo overload as its raw
+// bytes, and that text is part of each test's listed name. The
+// padding is therefore spelled out as zeroed members: implicit
+// padding would carry whatever the stack held, and the names would
+// change from run to run.
 struct SweepParam
 {
     Arch arch;
+    std::uint8_t pad0[3];
     unsigned benchmark;
     RewriteMode mode;
+    std::uint8_t pad1[3];
 };
+static_assert(sizeof(SweepParam) == 12, "SweepParam has implicit padding");
 
 class SuiteSweep : public ::testing::TestWithParam<SweepParam>
 {
@@ -62,7 +72,7 @@ allParams()
             for (RewriteMode mode :
                  {RewriteMode::dir, RewriteMode::jt,
                   RewriteMode::funcPtr}) {
-                params.push_back({arch, b, mode});
+                params.push_back({arch, {}, b, mode, {}});
             }
         }
     }

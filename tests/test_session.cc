@@ -502,6 +502,13 @@ TEST_P(SessionLoadInput, OneFunctionEditReanalyzesOnlyThatFunction)
     EXPECT_EQ(session.lastResult().image.serialize(),
               cold_rw.image.serialize());
 
+    // The maps spliced over the previous pass's equal the cold ones.
+    const RewriteManifest &warm_m = session.lastResult().manifest;
+    ASSERT_TRUE(warm_m.populated && cold_rw.manifest.populated);
+    EXPECT_EQ(warm_m.blockMap.pairs(), cold_rw.manifest.blockMap.pairs());
+    EXPECT_EQ(warm_m.insnMap.pairs(), cold_rw.manifest.insnMap.pairs());
+    EXPECT_EQ(warm_m.raPairs, cold_rw.manifest.raPairs);
+
     // And it still lints clean against the rebuilt CFG.
     EXPECT_EQ(errorCount(session.lint()), 0u)
         << session.lastReport().renderText();
@@ -655,6 +662,11 @@ TEST_P(SessionDataDeps, UnreadDataEditSplicesWithZeroDirty)
     EXPECT_TRUE(out.incremental);
     EXPECT_TRUE(out.dirtyFunctions.empty());
     EXPECT_EQ(post.functionMisses - pre.functionMisses, 0u);
+
+    // The stats describe this edit, not the previous full rewrite.
+    const RewriteStats &stats = session.lastResult().stats;
+    EXPECT_EQ(stats.relocEmittedFunctions, 0u);
+    EXPECT_EQ(stats.relocReusedFunctions, stats.instrumentedFunctions);
 
     // The splice reproduces a cold rewrite of the edited input byte
     // for byte.

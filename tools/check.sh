@@ -4,6 +4,9 @@
 #   tsan           ThreadSanitizer build + parallel determinism tests
 #                  (the pipeline's concurrency is only exercised with
 #                  >= 2 requested threads, which TSan then observes)
+#                  and the concurrent cache save/load case (a writer
+#                  appending under the exclusive lock-file flock while
+#                  a reader loads under the shared one)
 #   asan           Address+UBSanitizer build + the memory-heavy suites
 #                  (rewriter, verifier, binfmt, engine, session, cache
 #                  store) and the repair-loop CLI smoke
@@ -87,9 +90,13 @@ leg_tsan() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" &&
-    cmake --build build-tsan -j "$jobs" --target test_parallel &&
+    cmake --build build-tsan -j "$jobs" \
+        --target test_parallel test_cache_store &&
     echo "== TSan: parallel pipeline tests ==" &&
-    ./build-tsan/tests/test_parallel
+    ./build-tsan/tests/test_parallel &&
+    echo "== TSan: concurrent cache save/load ==" &&
+    ./build-tsan/tests/test_cache_store \
+        --gtest_filter='CacheStore.ConcurrentSaveLoadNeverSeesTornSegment'
 }
 
 leg_asan() {

@@ -1021,9 +1021,7 @@ runDepsCheck(const BinaryImage &img, RewriteOptions opts,
         return 1;
     }
     const unsigned emitted =
-        outcome.dirtyFunctions.empty()
-            ? 0
-            : session.lastResult().stats.relocEmittedFunctions;
+        session.lastResult().stats.relocEmittedFunctions;
 
     // Ground truth: a cold rewrite of the edited image, analysis
     // cache off so nothing from the warm pass can leak in.
