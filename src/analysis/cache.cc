@@ -265,6 +265,20 @@ AnalysisCache::entryCount() const
            pendingDataDeps_.size();
 }
 
+std::size_t
+AnalysisCache::decodedCount() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return functions_.size() + liveness_.size() + dataDeps_.size();
+}
+
+void
+AnalysisCache::keepDecoded(bool keep)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    keepDecoded_ = keep;
+}
+
 void
 AnalysisCache::clear()
 {

@@ -162,9 +162,9 @@ class AnalysisCache
     /**
      * nullptr on miss. Counts a hit/miss either way. An entry
      * indexed lazily from a mapped cache file is checksum-verified
-     * and deserialized on its first lookup here (and only then) — a
-     * corrupt or malformed payload degrades to a miss and the
-     * function simply re-analyzes.
+     * and deserialized on its first lookup here (and only then,
+     * unless keepDecoded(false)) — a corrupt or malformed payload
+     * degrades to a miss and the function simply re-analyzes.
      *
      * Entries are canonical at the entry they were analyzed at. When
      * @p entry differs (a cross-binary hit) the result is rebased to
@@ -199,7 +199,22 @@ class AnalysisCache
 
     /** Decoded plus lazily-indexed entries. */
     std::size_t entryCount() const;
+    /** Decoded entries: stored in this process, or kept by a lookup. */
+    std::size_t decodedCount() const;
     void clear();
+
+    /**
+     * Whether a lookup keeps what it decodes from a mapped cache file
+     * (the default) or hands it to the caller alone. Not keeping
+     * leaves a lazily indexed entry lazily indexed: each lookup
+     * verifies and decodes it afresh from the same mapping. One load
+     * can then serve any number of passes over a binary while memory
+     * holds only what the caller holds. Entries stored in this
+     * process are kept either way; entryCount(), the hit/miss stats
+     * and what save() writes do not depend on it. The sharded
+     * coordinator runs with it off.
+     */
+    void keepDecoded(bool keep);
 
     // --- on-disk persistence (implemented in cache_store.cc) -----------
 
@@ -283,6 +298,7 @@ class AnalysisCache
     std::unordered_map<std::uint64_t, PendingEntry>
         pendingDataDeps_;
     Stats stats_;
+    bool keepDecoded_ = true;
 };
 
 } // namespace icp

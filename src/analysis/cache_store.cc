@@ -984,19 +984,23 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
                             Addr toc_base)
 {
     std::unique_lock<std::mutex> lock(mu_);
+    Entry<Function> fresh; // a decode the cache does not keep
+    const Entry<Function> *e = nullptr;
     auto it = functions_.find(key);
-    if (it == functions_.end()) {
+    if (it != functions_.end()) {
+        e = &it->second;
+    } else {
         auto pit = pendingFunctions_.find(key);
         if (pit == pendingFunctions_.end()) {
             stats_.functionMisses++;
             return nullptr;
         }
-        // First lookup of a lazily-indexed entry: verify its
-        // checksum and deserialize it now, outside the lock (the
-        // shared mapping keeps the bytes alive; a racing decode of
-        // the same key is wasted work, not a bug). The canonical
-        // in-memory form keeps absolute addresses at the entry the
-        // payload records (origEntry), not the requested one.
+        // A lazily-indexed entry: verify its checksum and
+        // deserialize it now, outside the lock (the shared mapping
+        // keeps the bytes alive; a racing decode of the same key is
+        // wasted work, not a bug). The canonical in-memory form keeps
+        // absolute addresses at the entry the payload records
+        // (origEntry), not the requested one.
         const PendingEntry pe = pit->second;
         lock.unlock();
         Function func;
@@ -1007,10 +1011,10 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
             fnv1a(pe.payload, pe.payloadLen) == pe.payloadHash &&
             decodeFunction(rd, func, toc_delta, uses_toc);
         lock.lock();
-        pendingFunctions_.erase(key);
         if (!ok) {
             // Corrupt or undecodable payload: count the miss and
             // re-analyze; the entry heals on the next compaction.
+            pendingFunctions_.erase(key);
             stats_.functionMisses++;
             return nullptr;
         }
@@ -1021,30 +1025,35 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         rec.tocDelta = toc_delta;
         rec.usesToc = uses_toc;
         rec.value = std::make_shared<const Function>(std::move(func));
-        it = functions_.emplace(key, std::move(rec)).first;
         CacheCounters::global().entriesLazy.fetch_add(
             1, std::memory_order_relaxed);
+        if (keepDecoded_) {
+            pendingFunctions_.erase(key);
+            e = &functions_.emplace(key, std::move(rec)).first->second;
+        } else {
+            fresh = std::move(rec);
+            e = &fresh;
+        }
     }
 
-    const Entry<Function> &e = it->second;
-    if (entry == e.origEntry) {
+    if (entry == e->origEntry) {
         stats_.functionHits++;
-        return e.value;
+        return e->value;
     }
     // Cross-binary hit: the same code bytes at a different address.
     // Toc-relative code derives targets from tocBase, so the rebase
     // is only exact when the requester's toc offset matches.
-    if (e.usesToc &&
+    if (e->usesToc &&
         static_cast<std::int64_t>(toc_base) -
                 static_cast<std::int64_t>(entry) !=
-            e.tocDelta) {
+            e->tocDelta) {
         stats_.functionMisses++;
         return nullptr;
     }
     stats_.functionHits++;
     CacheCounters::global().crossHits.fetch_add(
         1, std::memory_order_relaxed);
-    std::shared_ptr<const Function> value = e.value;
+    std::shared_ptr<const Function> value = e->value;
     lock.unlock();
     StageTimer timer(Stage::cacheRebase);
     return std::make_shared<const Function>(
@@ -1055,8 +1064,12 @@ std::shared_ptr<const LivenessResult>
 AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
 {
     std::unique_lock<std::mutex> lock(mu_);
+    Entry<LivenessResult> fresh;
+    const Entry<LivenessResult> *e = nullptr;
     auto it = liveness_.find(key);
-    if (it == liveness_.end()) {
+    if (it != liveness_.end()) {
+        e = &it->second;
+    } else {
         auto pit = pendingLiveness_.find(key);
         if (pit == pendingLiveness_.end()) {
             stats_.livenessMisses++;
@@ -1071,8 +1084,8 @@ AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
             fnv1a(pe.payload, pe.payloadLen) == pe.payloadHash &&
             decodeLiveness(rd, live, orig_entry);
         lock.lock();
-        pendingLiveness_.erase(key);
         if (!ok) {
+            pendingLiveness_.erase(key);
             stats_.livenessMisses++;
             return nullptr;
         }
@@ -1081,17 +1094,22 @@ AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
         rec.origEntry = orig_entry;
         rec.value =
             std::make_shared<const LivenessResult>(std::move(live));
-        it = liveness_.emplace(key, std::move(rec)).first;
         CacheCounters::global().entriesLazy.fetch_add(
             1, std::memory_order_relaxed);
+        if (keepDecoded_) {
+            pendingLiveness_.erase(key);
+            e = &liveness_.emplace(key, std::move(rec)).first->second;
+        } else {
+            fresh = std::move(rec);
+            e = &fresh;
+        }
     }
 
-    const Entry<LivenessResult> &e = it->second;
     stats_.livenessHits++;
-    if (entry == e.origEntry)
-        return e.value;
-    std::shared_ptr<const LivenessResult> value = e.value;
-    const Addr orig = e.origEntry;
+    if (entry == e->origEntry)
+        return e->value;
+    std::shared_ptr<const LivenessResult> value = e->value;
+    const Addr orig = e->origEntry;
     lock.unlock();
     StageTimer timer(Stage::cacheRebase);
     return std::make_shared<const LivenessResult>(
@@ -1102,8 +1120,12 @@ std::shared_ptr<const DataDeps>
 AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
 {
     std::unique_lock<std::mutex> lock(mu_);
+    Entry<DataDeps> fresh;
+    const Entry<DataDeps> *e = nullptr;
     auto it = dataDeps_.find(key);
-    if (it == dataDeps_.end()) {
+    if (it != dataDeps_.end()) {
+        e = &it->second;
+    } else {
         auto pit = pendingDataDeps_.find(key);
         if (pit == pendingDataDeps_.end())
             return nullptr;
@@ -1116,26 +1138,31 @@ AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
             fnv1a(pe.payload, pe.payloadLen) == pe.payloadHash &&
             decodeDataDeps(rd, deps, orig_entry);
         lock.lock();
-        pendingDataDeps_.erase(key);
         if (!ok) {
             // Corrupt read-set: the paired function hit degrades to
             // a conservative miss at its consumer.
+            pendingDataDeps_.erase(key);
             return nullptr;
         }
         Entry<DataDeps> rec;
         rec.arch = pe.arch;
         rec.origEntry = orig_entry;
         rec.value = std::make_shared<const DataDeps>(std::move(deps));
-        it = dataDeps_.emplace(key, std::move(rec)).first;
         CacheCounters::global().entriesLazy.fetch_add(
             1, std::memory_order_relaxed);
+        if (keepDecoded_) {
+            pendingDataDeps_.erase(key);
+            e = &dataDeps_.emplace(key, std::move(rec)).first->second;
+        } else {
+            fresh = std::move(rec);
+            e = &fresh;
+        }
     }
 
-    const Entry<DataDeps> &e = it->second;
-    if (entry == e.origEntry)
-        return e.value;
-    std::shared_ptr<const DataDeps> value = e.value;
-    const Addr orig = e.origEntry;
+    if (entry == e->origEntry)
+        return e->value;
+    std::shared_ptr<const DataDeps> value = e->value;
+    const Addr orig = e->origEntry;
     lock.unlock();
     // Rebased read-set: the consumer re-hashes it against *its*
     // image, which is exactly the cross-binary soundness check.

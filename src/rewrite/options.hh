@@ -16,6 +16,7 @@
 #include <string>
 
 #include "analysis/builder.hh"
+#include "analysis/cache.hh"
 #include "analysis/cache_store.hh"
 #include "binfmt/image.hh"
 #include "rewrite/manifest.hh"
@@ -323,10 +324,20 @@ struct RewriteResult
 
     /**
      * Outcome of loading RewriteOptions::cachePath (default-empty
-     * when no cache file was configured). Lint folds its issues into
-     * the report as cache-* warnings.
+     * when no cache file was configured); for a sharded run, of the
+     * coordinator's one load of the shard file after its workers
+     * ran. Lint folds its issues into the report as cache-* warnings.
      */
     CacheLoadReport cacheLoad;
+
+    /**
+     * Analysis-cache lookups of a sharded run, each function counted
+     * once although the coordinator looks every function up in each
+     * of its three passes. rewriteBinary leaves it zero; its callers
+     * read AnalysisCache::stats() (a session analyzes before the
+     * rewrite proper runs).
+     */
+    AnalysisCache::Stats cacheStats;
 };
 
 } // namespace icp

@@ -1378,11 +1378,11 @@ Rewriter::runSharded(SbfSink &sink)
     }
 
     // The analysis cache file is the coordination medium: workers
-    // persist their shard's analysis there and the coordinator
-    // replays it one shard at a time. Without a configured file, a
-    // private temporary one serves for this run. The in-memory cache
-    // is dropped up front so the per-shard bound holds from the
-    // first shard (and so forked workers inherit an empty cache).
+    // persist their shard's analysis there, and the coordinator maps
+    // it once, after the last worker exits, and replays it one shard
+    // at a time. Without a configured file, a private temporary one
+    // serves for this run. The in-memory cache is dropped up front so
+    // forked workers inherit an empty cache.
     std::string cache_path = opts_.cachePath;
     bool temp_cache = false;
     if (opts_.useAnalysisCache) {
@@ -1401,18 +1401,28 @@ Rewriter::runSharded(SbfSink &sink)
     if (opts_.useAnalysisCache) {
         runShardWorkers(input_, opts_, ranges, cache_path,
                         result_.stats.shards);
-    }
-
-    // (Re)build one shard's CFG. Saving before the clear persists
-    // entries the coordinator itself computed for the previous shard
-    // (cache misses — e.g. a degraded worker's range), so each range
-    // is analyzed cold at most once across the three passes.
-    auto buildShard = [&](const ShardRange &r) {
-        if (opts_.useAnalysisCache) {
-            AnalysisCache::global().save(cache_path);
-            AnalysisCache::global().clear();
+        StageTimer timer(Stage::cacheLoad);
+        result_.cacheLoad =
             AnalysisCache::global().load(cache_path, input_.arch);
+    }
+    // One mapping serves all three passes: lookups decode from it
+    // without keeping what they decode, so memory stays O(shard).
+    // What the coordinator analyzes itself (a degraded worker's
+    // range) is stored, and stored entries are kept, so each range
+    // is analyzed cold at most once across the passes.
+    struct DecodeWithoutKeeping
+    {
+        DecodeWithoutKeeping()
+        {
+            AnalysisCache::global().keepDecoded(false);
         }
+        ~DecodeWithoutKeeping()
+        {
+            AnalysisCache::global().keepDecoded(true);
+        }
+    } decode_without_keeping;
+
+    auto buildShard = [&](const ShardRange &r) {
         AnalysisOptions analysis = opts_.analysis;
         analysis.threads = opts_.threads;
         analysis.useCache = opts_.useAnalysisCache;
@@ -1470,6 +1480,9 @@ Rewriter::runSharded(SbfSink &sink)
     }
     funcPtrs_ = scanner.take();
     result_.stats.originalLoadedSize = input_.loadedSize();
+    // Passes A and B look every function up again; the plan pass's
+    // lookups are the ones that describe the run.
+    const AnalysisCache::Stats planned = AnalysisCache::global().stats();
 
     // Pass A — layout and trampolines, interleaved per function. The
     // scratch pool evolves in the same ascending function order as
@@ -1606,9 +1619,27 @@ Rewriter::runSharded(SbfSink &sink)
     }
     writer.finishImage(out_);
 
+    if (opts_.useAnalysisCache) {
+        result_.cacheStats = AnalysisCache::global().stats();
+        result_.cacheStats.functionHits = planned.functionHits;
+        result_.cacheStats.functionMisses = planned.functionMisses;
+    }
     if (temp_cache) {
         std::remove(cache_path.c_str());
         std::remove((cache_path + ".lock").c_str());
+    } else if (opts_.useAnalysisCache) {
+        // At most one save: the file lacks only what the coordinator
+        // stored itself (the only decoded entries), and a size cap
+        // the workers' appends overran still has to compact it.
+        const bool stored = AnalysisCache::global().decodedCount() > 0;
+        const bool over_cap =
+            opts_.cacheMaxBytes != 0 &&
+            result_.cacheLoad.bytesMapped > opts_.cacheMaxBytes;
+        if (stored || over_cap) {
+            StageTimer timer(Stage::cacheSave);
+            AnalysisCache::global().save(cache_path,
+                                         opts_.cacheMaxBytes);
+        }
     }
 
     // Manifests are a monolithic-path feature (the verifier wants
@@ -1671,12 +1702,10 @@ RewriteResult
 rewriteBinarySharded(const BinaryImage &input,
                      const RewriteOptions &options, SbfSink &sink)
 {
-    // The load here only produces the user-facing report; the
-    // coordinator re-merges the file itself, shard by shard.
+    // No withDiskCache: the coordinator loads the file once after
+    // its workers have filled it, and saves it itself.
     const RewritePass pass;
-    return withDiskCache(input, options, [&] {
-        return Rewriter(input, options, pass).runSharded(sink);
-    });
+    return Rewriter(input, options, pass).runSharded(sink);
 }
 
 } // namespace icp

@@ -59,6 +59,48 @@ SampleStats::percentile(double p) const
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+void
+LogHistogram::add(double v)
+{
+    unsigned idx = 0;
+    if (v > min_value) {
+        const double octaves = std::log2(v / min_value);
+        idx = 1 + static_cast<unsigned>(std::min(
+                      octaves * per_octave,
+                      static_cast<double>(num_buckets - 2)));
+    }
+    ++counts_[idx];
+    min_ = count_ == 0 ? v : std::min(min_, v);
+    max_ = count_ == 0 ? v : std::max(max_, v);
+    ++count_;
+}
+
+double
+LogHistogram::percentile(double p) const
+{
+    icp_assert(count_ != 0, "LogHistogram::percentile on empty set");
+    icp_assert(p >= 0 && p <= 100, "percentile out of range");
+    // The same 0-based rank SampleStats interpolates at, rounded to
+    // the nearest order statistic.
+    const auto rank = static_cast<std::uint64_t>(std::floor(
+        p / 100.0 * static_cast<double>(count_ - 1) + 0.5));
+    if (rank == 0)
+        return min_; // the extremes are kept exactly
+    if (rank + 1 == count_)
+        return max_;
+    std::uint64_t seen = 0;
+    unsigned idx = 0;
+    for (; idx + 1 < num_buckets; ++idx) {
+        seen += counts_[idx];
+        if (seen > rank)
+            break;
+    }
+    const double mid =
+        idx == 0 ? min_value / 2
+                 : min_value * std::exp2((idx - 0.5) / per_octave);
+    return std::clamp(mid, min_, max_);
+}
+
 const char *
 stageName(Stage stage)
 {

@@ -40,6 +40,41 @@ class SampleStats
     std::vector<double> samples_;
 };
 
+/**
+ * Fixed-memory histogram of positive samples (latencies in ms):
+ * log-spaced buckets, per_octave to a power of two, from min_value
+ * up over 40 octaves, plus the exact count and maximum. Memory does
+ * not grow with the number of samples, and a percentile costs one
+ * pass over the buckets; it is exact to within one bucket (a factor
+ * of 2^(1/per_octave), about 9%).
+ */
+class LogHistogram
+{
+  public:
+    static constexpr unsigned per_octave = 8;
+    static constexpr double min_value = 1e-3; ///< bucket 0: [0, 1e-3]
+    static constexpr unsigned num_buckets = 1 + 40 * per_octave;
+
+    void add(double v);
+
+    std::uint64_t count() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    double max() const { return max_; }
+
+    /**
+     * p in [0, 100]: the geometric middle of the bucket that holds
+     * the nearest-rank sample, clamped to the smallest and largest
+     * samples seen (which the extreme ranks return exactly).
+     */
+    double percentile(double p) const;
+
+  private:
+    std::array<std::uint64_t, num_buckets> counts_{};
+    std::uint64_t count_ = 0;
+    double min_ = 0.0;
+    double max_ = 0.0;
+};
+
 /** Pipeline stages with dedicated wall-clock accumulators. */
 enum class Stage : unsigned
 {

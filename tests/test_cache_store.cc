@@ -493,6 +493,136 @@ TEST(CacheStore, PureWarmSaveLeavesFileUntouched)
     EXPECT_EQ(readAll(path), bytes_before);
 }
 
+namespace
+{
+
+/** Structural equality of two decoded function analyses. */
+void
+expectSameFunction(const Function &a, const Function &b)
+{
+    EXPECT_EQ(a.entry, b.entry);
+    EXPECT_EQ(a.end, b.end);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.failure, b.failure);
+    EXPECT_EQ(a.landingPads, b.landingPads);
+    EXPECT_EQ(a.indirectTailCalls, b.indirectTailCalls);
+    EXPECT_EQ(a.dataDeps, b.dataDeps);
+    ASSERT_EQ(a.jumpTables.size(), b.jumpTables.size());
+    for (std::size_t i = 0; i < a.jumpTables.size(); ++i)
+        EXPECT_EQ(a.jumpTables[i].targets, b.jumpTables[i].targets);
+    ASSERT_EQ(a.blocks.size(), b.blocks.size());
+    for (auto ia = a.blocks.begin(), ib = b.blocks.begin();
+         ia != a.blocks.end(); ++ia, ++ib) {
+        EXPECT_EQ(ia->second.start, ib->second.start);
+        EXPECT_EQ(ia->second.end, ib->second.end);
+        ASSERT_EQ(ia->second.insns.size(), ib->second.insns.size());
+        for (std::size_t i = 0; i < ia->second.insns.size(); ++i) {
+            EXPECT_EQ(ia->second.insns[i].addr,
+                      ib->second.insns[i].addr);
+            EXPECT_EQ(ia->second.insns[i].op, ib->second.insns[i].op);
+            EXPECT_EQ(ia->second.insns[i].target,
+                      ib->second.insns[i].target);
+        }
+        ASSERT_EQ(ia->second.succs.size(), ib->second.succs.size());
+        for (std::size_t i = 0; i < ia->second.succs.size(); ++i)
+            EXPECT_EQ(ia->second.succs[i].target,
+                      ib->second.succs[i].target);
+    }
+}
+
+} // namespace
+
+TEST(CacheStore, LookupsWithoutKeepingDecodeFromOneMapping)
+{
+    const std::string path = tmpPath("nokeep");
+    const std::string fresh = tmpPath("nokeep_fresh");
+    const BinaryImage img = compileMicro(Arch::x64);
+    coldRewrite(img, path);
+
+    // Keys and entries to probe with, from a cold analysis.
+    AnalysisCache &cache = AnalysisCache::global();
+    cache.clear();
+    const CfgModule cfg = buildCfg(img, AnalysisOptions{});
+    ASSERT_FALSE(cfg.functions.empty());
+    const Function &probe = cfg.functions.begin()->second;
+    ASSERT_NE(probe.cacheKey, 0u);
+
+    cache.clear();
+    ASSERT_TRUE(cache.load(path, img.arch).clean());
+    const std::size_t entries = cache.entryCount();
+    struct KeepOff
+    {
+        KeepOff() { AnalysisCache::global().keepDecoded(false); }
+        ~KeepOff() { AnalysisCache::global().keepDecoded(true); }
+    } keep_off;
+
+    // Each lookup decodes the same payload afresh from the one
+    // mapping: equal results, nothing kept, nothing new mapped.
+    CacheCounters::global().reset();
+    const auto first =
+        cache.findFunction(probe.cacheKey, probe.entry, img.tocBase);
+    const auto second =
+        cache.findFunction(probe.cacheKey, probe.entry, img.tocBase);
+    ASSERT_TRUE(first);
+    ASSERT_TRUE(second);
+    EXPECT_NE(second.get(), first.get());
+    expectSameFunction(*second, *first);
+    expectSameFunction(*first, probe);
+    EXPECT_EQ(CacheCounters::global().entriesLazy.load(), 2u);
+    EXPECT_EQ(CacheCounters::global().bytesMapped.load(), 0u);
+    EXPECT_EQ(cache.entryCount(), entries);
+    EXPECT_EQ(cache.decodedCount(), 0u);
+    EXPECT_EQ(cache.stats().functionHits, 2u);
+
+    // Concurrent lookups (a parallel buildCfg's threads) each decode
+    // their own copy; still nothing is kept.
+    std::atomic<std::size_t> hits{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&] {
+            for (const auto &[addr, func] : cfg.functions) {
+                if (cache.findFunction(func.cacheKey, addr,
+                                       img.tocBase))
+                    ++hits;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(hits.load(), 4 * cfg.functions.size());
+    EXPECT_EQ(cache.decodedCount(), 0u);
+    EXPECT_EQ(cache.entryCount(), entries);
+
+    // Saving back to the file the entries came from is a no-op...
+    const FileStamp before = stampOf(path);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(cache.save(path));
+    EXPECT_TRUE(before == stampOf(path));
+
+    // ...and a fresh file gets every key exactly once.
+    std::remove(fresh.c_str());
+    ASSERT_TRUE(cache.save(fresh));
+    const CacheFileInfo info = inspectCacheFile(fresh);
+    const unsigned total = info.functionEntries +
+                           info.livenessEntries + info.dataDepsEntries;
+    EXPECT_EQ(total, entries);
+    EXPECT_EQ(info.distinctKeys, total);
+    std::remove(fresh.c_str());
+    std::remove((fresh + ".lock").c_str());
+
+    // A stored entry is kept: later lookups share it.
+    const std::uint64_t stored_key = probe.cacheKey ^ 1;
+    cache.storeFunction(stored_key, img.arch, *second, img.tocBase);
+    EXPECT_EQ(cache.decodedCount(), 1u);
+    const auto stored =
+        cache.findFunction(stored_key, probe.entry, img.tocBase);
+    ASSERT_TRUE(stored);
+    EXPECT_EQ(stored.get(),
+              cache.findFunction(stored_key, probe.entry, img.tocBase)
+                  .get());
+    EXPECT_EQ(cache.entryCount(), entries + 1);
+}
+
 TEST(CacheStore, SaveMergesWithEntriesFromOtherWriters)
 {
     const std::string path = tmpPath("merge_writers");

@@ -10,6 +10,7 @@
  * requests before removing the socket and lock files.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -296,6 +297,37 @@ TEST(ServeProtocol, FrameReadDegradesStructurally)
     close(fds[1]);
 }
 
+// --- latency accounting ---------------------------------------------------
+
+TEST(ServeLatency, HistogramPercentilesWithinOneBucket)
+{
+    // Log-uniform samples from 50 us to 5 s in a scrambled order:
+    // the daemon's latency histogram must answer p50/p99 to within
+    // one bucket of the exact order statistics, and max exactly.
+    SampleStats exact;
+    LogHistogram hist;
+    constexpr unsigned n = 2000;
+    for (unsigned i = 0; i < n; ++i) {
+        const double frac = static_cast<double>((i * 7919u) % n) /
+                            static_cast<double>(n - 1);
+        const double ms = 0.05 * std::pow(1e5, frac);
+        exact.add(ms);
+        hist.add(ms);
+    }
+    const double bucket =
+        std::exp2(1.0 / static_cast<double>(LogHistogram::per_octave));
+    for (double p : {50.0, 99.0}) {
+        const double want = exact.percentile(p);
+        const double got = hist.percentile(p);
+        EXPECT_LE(got, want * bucket) << "p" << p;
+        EXPECT_GE(got, want / bucket) << "p" << p;
+    }
+    EXPECT_EQ(hist.count(), n);
+    EXPECT_EQ(hist.max(), exact.max());
+    EXPECT_EQ(hist.percentile(100.0), exact.max());
+    EXPECT_EQ(hist.percentile(0.0), exact.min());
+}
+
 // --- daemon behavior ------------------------------------------------------
 
 TEST(ServeDaemon, AnswersPingStatsAndUnknownVerbs)
@@ -311,6 +343,9 @@ TEST(ServeDaemon, AnswersPingStatsAndUnknownVerbs)
     const ServeMessage reply = daemon.call(stats);
     ASSERT_EQ(reply.verb, "ok");
     EXPECT_GE(reply.getU64("requests"), 1u);
+    EXPECT_TRUE(reply.has("p50_ms"));
+    EXPECT_TRUE(reply.has("p99_ms"));
+    EXPECT_TRUE(reply.has("max_ms"));
 
     ServeMessage bogus;
     bogus.verb = "frobnicate";

@@ -3,16 +3,21 @@
  * Sharded-rewrite tests: shard planning properties, byte identity of
  * the multi-process streaming path against the classic materializing
  * rewrite across ISAs and modes, worker-crash retry/degradation with
- * a loadable cache, and rejection of incompatible option combos.
+ * a loadable cache, the coordinator's cache-file work (one mapping,
+ * no write on a warm run, a degraded range analyzed once), and
+ * rejection of incompatible option combos.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "analysis/cache.hh"
@@ -22,6 +27,7 @@
 #include "codegen/workloads.hh"
 #include "rewrite/rewriter.hh"
 #include "rewrite/shard.hh"
+#include "support/stats.hh"
 
 using namespace icp;
 
@@ -83,6 +89,14 @@ removeCache(const std::string &path)
 {
     std::remove(path.c_str());
     std::remove((path + ".lock").c_str());
+}
+
+std::vector<std::uint8_t>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
 } // namespace
@@ -251,6 +265,74 @@ TEST(ShardWorkers, KilledWorkerRetriesAndCacheStaysLoadable)
     removeCache(cache);
 }
 
+TEST(ShardCache, FreshRunMapsFileOnceAndCountsEachFunctionOnce)
+{
+    const std::string cache = tempCachePath("once");
+    removeCache(cache);
+    const BinaryImage img =
+        compileProgram(chromiumSmallProfile(Arch::x64, true));
+    RewriteOptions opts = shardOptions(RewriteMode::jt, 3);
+    opts.cachePath = cache;
+    const auto classic = classicBytes(img, opts);
+
+    CacheCounters::global().reset();
+    RewriteResult rw;
+    EXPECT_EQ(shardedBytes(img, opts, &rw), classic);
+
+    // Every worker succeeded, so the coordinator stored nothing and
+    // never wrote the file: its one load mapped exactly the file the
+    // workers left behind.
+    const CacheFileInfo info = inspectCacheFile(cache);
+    ASSERT_TRUE(info.fileRead);
+    EXPECT_EQ(CacheCounters::global().bytesMapped.load(),
+              info.fileBytes);
+    EXPECT_EQ(CacheCounters::global().bytesAppended.load(), 0u);
+
+    // The report describes the whole run: the post-worker load, and
+    // each function's lookup once although three passes revisit it.
+    EXPECT_EQ(rw.cacheLoad.bytesMapped, info.fileBytes);
+    EXPECT_EQ(rw.cacheLoad.loadedFunctions, info.functionEntries);
+    EXPECT_GT(rw.cacheLoad.loadedEntries(), 0u);
+    EXPECT_EQ(rw.cacheStats.functionHits, rw.stats.totalFunctions);
+    EXPECT_EQ(rw.cacheStats.functionMisses, 0u);
+    removeCache(cache);
+}
+
+TEST(ShardCache, WarmRunLeavesFileUntouched)
+{
+    for (Arch arch : {Arch::x64, Arch::aarch64}) {
+        const std::string cache = tempCachePath("warm");
+        removeCache(cache);
+        const BinaryImage img =
+            compileProgram(chromiumSmallProfile(arch, true));
+        RewriteOptions opts = shardOptions(RewriteMode::jt, 3);
+        opts.cachePath = cache;
+        const auto cold = shardedBytes(img, opts);
+
+        struct stat before;
+        ASSERT_EQ(::stat(cache.c_str(), &before), 0);
+        const std::vector<std::uint8_t> bytes_before =
+            readFile(cache);
+        ::usleep(20000); // past the file-time granularity
+
+        CacheCounters::global().reset();
+        RewriteResult rw;
+        EXPECT_EQ(shardedBytes(img, opts, &rw), cold)
+            << archName(arch);
+        EXPECT_EQ(rw.cacheStats.functionMisses, 0u) << archName(arch);
+        EXPECT_EQ(rw.cacheStats.livenessMisses, 0u) << archName(arch);
+        EXPECT_EQ(CacheCounters::global().bytesAppended.load(), 0u);
+
+        struct stat after;
+        ASSERT_EQ(::stat(cache.c_str(), &after), 0);
+        EXPECT_EQ(after.st_ino, before.st_ino) << archName(arch);
+        EXPECT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+        EXPECT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+        EXPECT_EQ(readFile(cache), bytes_before) << archName(arch);
+        removeCache(cache);
+    }
+}
+
 TEST(ShardWorkers, PersistentCrashDegradesButStaysCorrect)
 {
     const std::string cache = tempCachePath("degrade");
@@ -272,11 +354,29 @@ TEST(ShardWorkers, PersistentCrashDegradesButStaysCorrect)
     EXPECT_TRUE(rw.stats.shards[2].degraded);
     EXPECT_EQ(rw.stats.shards[2].workerPeakRssBytes, 0u);
 
+    // The coordinator analyzed the degraded shard cold exactly once:
+    // its results stay decoded across the three passes, so the
+    // process-wide count (every pass) matches the run's own.
+    EXPECT_EQ(rw.cacheStats.functionMisses,
+              rw.stats.shards[2].functions);
+    EXPECT_EQ(AnalysisCache::global().stats().functionMisses,
+              rw.stats.shards[2].functions);
+
     AnalysisCache::global().clear();
     const CacheLoadReport report =
         AnalysisCache::global().load(cache, img.arch);
     EXPECT_TRUE(report.clean());
     EXPECT_EQ(report.droppedEntries, 0u);
+
+    // The one final save made the file whole: a fresh load analyzes
+    // nothing cold.
+    AnalysisOptions analysis;
+    analysis.threads = 1;
+    const CfgModule cfg = buildCfg(img, analysis);
+    EXPECT_EQ(cfg.totalFunctions(), rw.stats.totalFunctions);
+    EXPECT_EQ(AnalysisCache::global().stats().functionMisses, 0u);
+    EXPECT_EQ(AnalysisCache::global().stats().functionHits,
+              rw.stats.totalFunctions);
     removeCache(cache);
 }
 

@@ -27,7 +27,9 @@
 #   sharded        multi-process rewrite smoke: the chromium-small
 #                  corpus through `icp rewrite --shards 2` must be
 #                  byte-identical to the classic path, lint clean,
-#                  leave a verifiable + compactable cache file, and
+#                  map the shard cache file once (--timing's bytes
+#                  mapped <= the file's size), leave a verifiable +
+#                  compactable cache file, and
 #                  report a peak RSS below the classic run's (the
 #                  streaming writer's whole reason to exist)
 #   cross-binary   content-addressed sharing smoke: two libcommon
@@ -269,6 +271,13 @@ leg_sharded() {
     cmp "$dir/classic.sbf" "$dir/sharded.sbf" &&
     echo "sharded output byte-identical to classic" &&
     grep -q "^shard 1:" "$dir/sharded.log" &&
+    # The coordinator maps the shard cache file once, after its
+    # workers exit: the bytes it mapped cannot exceed the file size.
+    mapped="$(sed -n 's/.*cache\.io *\([0-9][0-9]*\) bytes mapped.*/\1/p' "$dir/sharded.log")" &&
+    cache_bytes="$(stat -c '%s' "$cache")" &&
+    [ -n "$mapped" ] && [ "$mapped" -gt 0 ] &&
+    [ "$mapped" -le "$cache_bytes" ] &&
+    echo "cache file mapped once: $mapped <= $cache_bytes bytes" &&
     ./build/tools/icp lint "$dir/in.sbf" --mode jt \
         --fail-on error &&
     ./build/tools/icp cache verify "$cache" &&

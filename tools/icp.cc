@@ -418,11 +418,9 @@ printRewriteStats(RewriteMode mode, const RewriteStats &stats)
 }
 
 void
-printCacheStats(const RewriteResult &rw, const std::string &path)
+printCacheStats(const AnalysisCache::Stats &cstats,
+                const RewriteResult &rw, const std::string &path)
 {
-    // Cross-invocation reuse report (the CLI process starts with
-    // an empty in-memory cache, so the stats are this run's).
-    const auto cstats = AnalysisCache::global().stats();
     const std::uint64_t lookups =
         cstats.functionHits + cstats.functionMisses;
     std::printf("analysis cache: %llu/%llu function analyses "
@@ -482,7 +480,7 @@ runShardedRewrite(const BinaryImage &img, RewriteOptions &opts,
                         sc.workerPeakRssBytes / 1024));
     }
     if (!opts.cachePath.empty())
-        printCacheStats(rw, opts.cachePath);
+        printCacheStats(rw.cacheStats, rw, opts.cachePath);
     if (timing)
         std::printf("%s", StageTimers::global().table().c_str());
     return 0;
@@ -586,8 +584,11 @@ cmdRewrite(int argc, char **argv)
         return 1;
     }
     printRewriteStats(opts.mode, rw.stats);
+    // Cross-invocation reuse report (the CLI process starts with
+    // an empty in-memory cache, so the stats are this run's).
     if (!opts.cachePath.empty())
-        printCacheStats(rw, opts.cachePath);
+        printCacheStats(AnalysisCache::global().stats(), rw,
+                        opts.cachePath);
     if (timing)
         std::printf("%s", StageTimers::global().table().c_str());
     if (lint) {
