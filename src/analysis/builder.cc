@@ -386,13 +386,20 @@ FunctionBuilder::build()
     return func_;
 }
 
-} // namespace
-
+/**
+ * Build (or fetch from the AnalysisCache) the functions of @p syms,
+ * an address-sorted subset of @p image's function symbols. The
+ * per-image set-up — landing pads from .eh_frame, the cache seed —
+ * runs once per call, however many functions it covers.
+ */
 CfgModule
-buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
+buildFunctions(const BinaryImage &image, const AnalysisOptions &opts,
+               const std::vector<const Symbol *> &syms)
 {
     CfgModule mod;
     mod.image = &image;
+    if (syms.empty())
+        return mod;
 
     // Landing pads per function from .eh_frame.
     std::map<Addr, std::vector<TryRange>> tries;
@@ -407,13 +414,6 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
     // Functions are analyzed independently; build (or fetch) each
     // one in parallel into an index-addressed slot, then insert in
     // address order so the module is identical for any thread count.
-    std::vector<const Symbol *> syms = image.functionSymbols();
-    if (opts.rangeLo != 0 || opts.rangeHi != ~static_cast<Addr>(0)) {
-        std::erase_if(syms, [&](const Symbol *sym) {
-            return sym->addr < opts.rangeLo ||
-                   sym->addr >= opts.rangeHi;
-        });
-    }
     std::vector<Function> built(syms.size());
     ThreadPool::shared().parallelFor(
         syms.size(), effectiveThreads(opts.threads),
@@ -483,6 +483,32 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
     for (std::size_t i = 0; i < syms.size(); ++i)
         mod.functions.emplace(syms[i]->addr, std::move(built[i]));
     return mod;
+}
+
+} // namespace
+
+CfgModule
+buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
+{
+    std::vector<const Symbol *> syms = image.functionSymbols();
+    if (opts.rangeLo != 0 || opts.rangeHi != ~static_cast<Addr>(0)) {
+        std::erase_if(syms, [&](const Symbol *sym) {
+            return sym->addr < opts.rangeLo ||
+                   sym->addr >= opts.rangeHi;
+        });
+    }
+    return buildFunctions(image, opts, syms);
+}
+
+CfgModule
+buildCfg(const BinaryImage &image, const AnalysisOptions &opts,
+         const std::set<Addr> &entries)
+{
+    std::vector<const Symbol *> syms = image.functionSymbols();
+    std::erase_if(syms, [&](const Symbol *sym) {
+        return !entries.count(sym->addr);
+    });
+    return buildFunctions(image, opts, syms);
 }
 
 } // namespace icp

@@ -9,6 +9,8 @@
 #ifndef ICP_ANALYSIS_BUILDER_HH
 #define ICP_ANALYSIS_BUILDER_HH
 
+#include <set>
+
 #include "analysis/cfg.hh"
 #include "analysis/jump_table.hh"
 
@@ -59,6 +61,16 @@ struct AnalysisOptions
 /** Build the module CFG for every function symbol in @p image. */
 CfgModule buildCfg(const BinaryImage &image,
                    const AnalysisOptions &opts = AnalysisOptions{});
+
+/**
+ * Build only the functions whose symbol entry is in @p entries
+ * (entries naming no function symbol are ignored). Each Function is
+ * bit-identical to the one a whole-image buildCfg returns, so a
+ * caller can splice the result into an older module of the same
+ * image — the warm edit path of RewriteSession::loadInput.
+ */
+CfgModule buildCfg(const BinaryImage &image, const AnalysisOptions &opts,
+                   const std::set<Addr> &entries);
 
 } // namespace icp
 

@@ -290,6 +290,7 @@ AnalysisCache::clear()
     pendingLiveness_.clear();
     pendingDataDeps_.clear();
     stats_ = Stats{};
+    tracked_ = {};
 }
 
 } // namespace icp

@@ -67,6 +67,14 @@ class MappedCacheFile
     static std::shared_ptr<MappedCacheFile>
     open(const std::string &path);
 
+    /**
+     * Map bytes [@p offset, @p file_size) of the open file @p fd;
+     * data() points at file offset @p offset. nullptr when they
+     * cannot be read.
+     */
+    static std::shared_ptr<MappedCacheFile>
+    map(int fd, std::size_t offset, std::size_t file_size);
+
     ~MappedCacheFile();
     MappedCacheFile(const MappedCacheFile &) = delete;
     MappedCacheFile &operator=(const MappedCacheFile &) = delete;
@@ -80,6 +88,7 @@ class MappedCacheFile
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
     void *map_ = nullptr;              ///< munmap target (or null)
+    std::size_t mapLen_ = 0;           ///< munmap length
     std::vector<std::uint8_t> buffer_; ///< read() fallback storage
 };
 
@@ -221,18 +230,21 @@ class AnalysisCache
     /**
      * Persist the cache to @p path in the v4 format of
      * analysis/cache_store.hh. Delta save: under the advisory
-     * `<path>.lock` flock, the file's existing key set is re-scanned
-     * (merging segments appended by concurrent writers) and only
-     * entries the file lacks are appended as one new segment — when
-     * nothing is missing the file is not touched at all. A v1,
-     * torn-tailed, or unreadable target falls back to a full atomic
-     * rewrite (tmp + rename). When @p max_bytes is non-zero and the
-     * file ends up larger, it is compacted in place under the same
-     * lock (newest-generation entries survive). Returns false when
-     * the file cannot be written.
+     * `<path>.lock` flock, only entries the file lacks are appended
+     * as one new segment — when nothing is missing the file is not
+     * touched at all. What the file holds is known from the
+     * durable marks on the in-memory entries (see TrackedFile): when
+     * the last file this cache loaded or saved is this same file
+     * (same device, inode and header), only the segments other
+     * writers appended since are scanned; otherwise the whole key
+     * set is re-scanned. A v1, torn-tailed, or unreadable target
+     * falls back to a full atomic rewrite (tmp + rename). When
+     * @p max_bytes is non-zero and the file ends up larger, it is
+     * compacted in place under the same lock (newest-generation
+     * entries survive). Returns false when the file cannot be
+     * written.
      */
-    bool save(const std::string &path,
-              std::uint64_t max_bytes = 0) const;
+    bool save(const std::string &path, std::uint64_t max_bytes = 0);
 
     /**
      * Merge entries from @p path. The file is mapped, file/segment/
@@ -249,11 +261,48 @@ class AnalysisCache
      * dropping keeps the merge bounded and reports the mismatch).
      * Existing in-memory entries win over file entries with the same
      * key.
+     *
+     * Incremental: the clean current-version file this cache last
+     * indexed (same device, inode and header, same @p expect_arch)
+     * is not mapped again — an unchanged one loads as a no-op
+     * (0 bytes mapped, 0 entries indexed), one that only grew maps
+     * and indexes just the appended segments. A replaced file (new
+     * inode: compaction, atomic rewrite), a shrunk or torn one, and
+     * any file after clear() take the full path above.
      */
     CacheLoadReport load(const std::string &path,
                          std::optional<Arch> expect_arch = {});
 
   private:
+    /**
+     * The one cache file this cache last loaded or saved, while it
+     * is a clean v4 file. Entry and PendingEntry carry a `durable`
+     * mark: set when that file holds the entry's key — for a decoded
+     * read-set, when the file's newest occurrence of the key has the
+     * same payload — within its first checkedBytes bytes. A store
+     * leaves it clear; a save appends exactly the unmarked entries.
+     * A load or save of any other path tracks that file instead
+     * (trackFile clears every mark) and scans it whole.
+     */
+    struct TrackedFile
+    {
+        std::string path; ///< empty: no file tracked
+        std::uint64_t dev = 0;
+        std::uint64_t ino = 0;
+        std::uint64_t headHash = 0; ///< file + first segment header
+        /** load() has indexed [0, indexedBytes) (0: never). */
+        std::uint64_t indexedBytes = 0;
+        /** The durable marks describe [0, checkedBytes). */
+        std::uint64_t checkedBytes = 0;
+        std::uint64_t maxGeneration = 0; ///< newest segment
+        std::optional<Arch> arch;        ///< load()'s expect_arch
+    };
+
+    // Bookkeeping over tracked_, both with mu_ held (cache_store.cc).
+    void trackFile(const std::string &path);
+    void noteFileEntry(std::uint8_t kind, std::uint64_t key,
+                       std::uint64_t payload_hash);
+
     /**
      * One memoized result, tagged with the ISA it was built for and
      * the entry address it was analyzed at (the canonical form keeps
@@ -269,6 +318,7 @@ class AnalysisCache
         Addr origEntry = 0;
         std::int64_t tocDelta = 0; ///< tocBase - entry at analysis
         bool usesToc = false;      ///< any AddisToc instruction
+        bool durable = false;      ///< held by the TrackedFile
         std::shared_ptr<const T> value;
     };
 
@@ -281,6 +331,7 @@ class AnalysisCache
     struct PendingEntry
     {
         Arch arch = Arch::x64;
+        bool durable = false; ///< held by the TrackedFile
         const std::uint8_t *payload = nullptr;
         std::uint32_t payloadLen = 0;
         std::uint64_t payloadHash = 0;
@@ -299,6 +350,7 @@ class AnalysisCache
         pendingDataDeps_;
     Stats stats_;
     bool keepDecoded_ = true;
+    TrackedFile tracked_;
 };
 
 } // namespace icp

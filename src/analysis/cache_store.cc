@@ -31,7 +31,6 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include <fcntl.h>
@@ -611,6 +610,102 @@ struct ScanResult
 };
 
 /**
+ * Walk the segment chain in @p data, the bytes of a v2+ file from
+ * offset @p base on (just past the file header, or where an earlier
+ * walk stopped), appending to @p scan. Offsets recorded in entries
+ * and issues are file offsets.
+ */
+void
+scanSegments(const std::uint8_t *data, std::size_t size,
+             std::size_t base, ScanResult &scan)
+{
+    ByteReader rd(data, size);
+    while (!rd.failed() && rd.remaining() > 0) {
+        const std::size_t seg_off = rd.pos();
+        if (rd.remaining() < cache_segment_header_bytes) {
+            char msg[96];
+            std::snprintf(msg, sizeof(msg),
+                          "trailing %zu bytes are not a complete "
+                          "segment header; tail dropped",
+                          rd.remaining());
+            scan.issues.push_back({"cache-torn", base + seg_off, msg});
+            scan.torn = true;
+            return;
+        }
+        const std::uint32_t seg_magic = rd.u32();
+        const std::uint32_t count = rd.u32();
+        const std::uint64_t body_bytes = rd.u64();
+        const std::uint64_t generation = rd.u64();
+        const std::uint64_t header_hash = rd.u64();
+        if (seg_magic != cache_segment_magic ||
+            header_hash != fnv1a(data + seg_off, 24)) {
+            scan.issues.push_back(
+                {"cache-torn", base + seg_off,
+                 "segment header corrupt (bad magic or header "
+                 "checksum); tail dropped"});
+            scan.torn = true;
+            return;
+        }
+
+        // Walk the segment's entries. A complete segment must
+        // contain exactly `count` entries in `body_bytes`; a torn
+        // final segment salvages the prefix that survived.
+        const bool complete = body_bytes <= rd.remaining();
+        const std::size_t body_limit =
+            seg_off + cache_segment_header_bytes +
+            static_cast<std::size_t>(
+                std::min<std::uint64_t>(body_bytes, rd.remaining()));
+        std::uint32_t salvaged = 0;
+        bool inconsistent = false;
+        for (std::uint32_t i = 0; i < count; ++i) {
+            RawEntry e;
+            const std::size_t off = rd.pos();
+            e.offset = base + off;
+            if (body_limit - off < cache_entry_header_bytes) {
+                inconsistent = true;
+                break;
+            }
+            e.kind = rd.u8();
+            e.arch = rd.u8();
+            e.key = rd.u64();
+            e.payloadLen = rd.u32();
+            e.payloadHash = rd.u64();
+            if (e.payloadLen > body_limit - rd.pos()) {
+                inconsistent = true;
+                break;
+            }
+            e.payload = rd.blob(e.payloadLen);
+            e.generation = generation;
+            e.completeSegment = complete;
+            scan.entries.push_back(e);
+            ++salvaged;
+        }
+        if (!complete || inconsistent || rd.pos() != body_limit) {
+            // Torn append (writer died mid-write) or a lying
+            // header: keep what was salvaged, drop the rest of the
+            // file. Salvaged entries are marked not-durable so the
+            // next save re-appends them.
+            char msg[96];
+            std::snprintf(msg, sizeof(msg),
+                          "segment torn at offset %zu; %u of %u "
+                          "entries salvaged, tail dropped",
+                          base + seg_off, salvaged, count);
+            scan.issues.push_back({"cache-torn", base + seg_off, msg});
+            scan.torn = true;
+            scan.droppedEntries += count - salvaged;
+            for (std::size_t i = scan.entries.size() - salvaged;
+                 i < scan.entries.size(); ++i)
+                scan.entries[i].completeSegment = false;
+            return;
+        }
+        ++scan.segments;
+        scan.maxGeneration =
+            std::max(scan.maxGeneration, generation);
+        scan.validBytes = base + rd.pos();
+    }
+}
+
+/**
  * Walk @p data's headers without decoding or checksumming payloads.
  * Understands v1 (single implicit whole-file segment) and v2
  * (segment chain); anything else yields issues and no entries.
@@ -680,88 +775,8 @@ scanBuffer(const std::uint8_t *data, std::size_t size)
     // v2: u64 file generation, then the segment chain.
     scan.headerGeneration = rd.u64();
     scan.validBytes = rd.pos();
-    while (!rd.failed() && rd.remaining() > 0) {
-        const std::size_t seg_off = rd.pos();
-        if (rd.remaining() < cache_segment_header_bytes) {
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "trailing %zu bytes are not a complete "
-                          "segment header; tail dropped",
-                          rd.remaining());
-            scan.issues.push_back({"cache-torn", seg_off, msg});
-            scan.torn = true;
-            return scan;
-        }
-        const std::uint32_t seg_magic = rd.u32();
-        const std::uint32_t count = rd.u32();
-        const std::uint64_t body_bytes = rd.u64();
-        const std::uint64_t generation = rd.u64();
-        const std::uint64_t header_hash = rd.u64();
-        if (seg_magic != cache_segment_magic ||
-            header_hash != fnv1a(data + seg_off, 24)) {
-            scan.issues.push_back(
-                {"cache-torn", seg_off,
-                 "segment header corrupt (bad magic or header "
-                 "checksum); tail dropped"});
-            scan.torn = true;
-            return scan;
-        }
-
-        // Walk the segment's entries. A complete segment must
-        // contain exactly `count` entries in `body_bytes`; a torn
-        // final segment salvages the prefix that survived.
-        const bool complete = body_bytes <= rd.remaining();
-        const std::size_t body_limit =
-            seg_off + cache_segment_header_bytes +
-            static_cast<std::size_t>(
-                std::min<std::uint64_t>(body_bytes, rd.remaining()));
-        std::uint32_t salvaged = 0;
-        bool inconsistent = false;
-        for (std::uint32_t i = 0; i < count; ++i) {
-            RawEntry e;
-            e.offset = rd.pos();
-            if (body_limit - e.offset < cache_entry_header_bytes) {
-                inconsistent = true;
-                break;
-            }
-            e.kind = rd.u8();
-            e.arch = rd.u8();
-            e.key = rd.u64();
-            e.payloadLen = rd.u32();
-            e.payloadHash = rd.u64();
-            if (e.payloadLen > body_limit - rd.pos()) {
-                inconsistent = true;
-                break;
-            }
-            e.payload = rd.blob(e.payloadLen);
-            e.generation = generation;
-            e.completeSegment = complete;
-            scan.entries.push_back(e);
-            ++salvaged;
-        }
-        if (!complete || inconsistent || rd.pos() != body_limit) {
-            // Torn append (writer died mid-write) or a lying
-            // header: keep what was salvaged, drop the rest of the
-            // file. Salvaged entries are marked not-durable so the
-            // next save re-appends them.
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "segment torn at offset %zu; %u of %u "
-                          "entries salvaged, tail dropped",
-                          seg_off, salvaged, count);
-            scan.issues.push_back({"cache-torn", seg_off, msg});
-            scan.torn = true;
-            scan.droppedEntries += count - salvaged;
-            for (std::size_t i = scan.entries.size() - salvaged;
-                 i < scan.entries.size(); ++i)
-                scan.entries[i].completeSegment = false;
-            return scan;
-        }
-        ++scan.segments;
-        scan.maxGeneration =
-            std::max(scan.maxGeneration, generation);
-        scan.validBytes = rd.pos();
-    }
+    if (!rd.failed())
+        scanSegments(data + rd.pos(), size - rd.pos(), rd.pos(), scan);
     return scan;
 }
 
@@ -829,6 +844,80 @@ fileSizeOf(const std::string &path)
     if (::stat(path.c_str(), &st) != 0)
         return 0;
     return static_cast<std::uint64_t>(st.st_size);
+}
+
+/**
+ * An open cache file and what identifies it across loads and saves:
+ * device and inode (compaction and full rewrites rename a new inode
+ * into place) plus a hash of the file header and the first segment
+ * header (a recreated file that reuses the inode number starts with
+ * a different generation or segment). Appends change neither.
+ */
+struct CacheFileHandle
+{
+    int fd = -1;
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+    std::uint64_t size = 0;
+    std::uint64_t headHash = 0;
+
+    explicit CacheFileHandle(const std::string &path)
+    {
+        fd = ::open(path.c_str(), O_RDONLY);
+        if (fd < 0)
+            return;
+        struct stat st;
+        if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+            ::close(fd);
+            fd = -1;
+            return;
+        }
+        dev = static_cast<std::uint64_t>(st.st_dev);
+        ino = static_cast<std::uint64_t>(st.st_ino);
+        size = static_cast<std::uint64_t>(st.st_size);
+        std::uint8_t head[cache_file_header_bytes +
+                          cache_segment_header_bytes];
+        const ::ssize_t n = ::pread(fd, head, sizeof(head), 0);
+        headHash = fnv1a(head, n > 0 ? static_cast<std::size_t>(n) : 0);
+    }
+
+    ~CacheFileHandle()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    CacheFileHandle(const CacheFileHandle &) = delete;
+    CacheFileHandle &operator=(const CacheFileHandle &) = delete;
+
+    bool ok() const { return fd >= 0; }
+};
+
+/**
+ * The durable mark for an entry decoded (unlocked) from the pending
+ * entry @p decoded: the live pending entry for @p key keeps it only
+ * while it still holds the same payload — a racing load or save may
+ * have replaced, marked or dropped it meanwhile.
+ */
+template <typename PendingMap, typename Pending>
+bool
+decodedDurable(const PendingMap &pending, std::uint64_t key,
+               const Pending &decoded)
+{
+    auto it = pending.find(key);
+    return it != pending.end() &&
+           it->second.payloadHash == decoded.payloadHash &&
+           it->second.durable;
+}
+
+/** Whether @p tracked (an AnalysisCache::TrackedFile) is @p handle. */
+template <typename Tracked>
+bool
+sameFile(const Tracked &tracked, const CacheFileHandle &handle)
+{
+    return handle.ok() && tracked.dev == handle.dev &&
+           tracked.ino == handle.ino &&
+           tracked.headHash == handle.headHash;
 }
 
 /**
@@ -934,23 +1023,34 @@ MappedCacheFile::open(const std::string &path)
     if (fd < 0)
         return nullptr;
     struct stat st;
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-        ::close(fd);
-        return nullptr;
-    }
+    std::shared_ptr<MappedCacheFile> file;
+    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode))
+        file = map(fd, 0, static_cast<std::size_t>(st.st_size));
+    ::close(fd);
+    return file;
+}
+
+std::shared_ptr<MappedCacheFile>
+MappedCacheFile::map(int fd, std::size_t offset, std::size_t file_size)
+{
     auto file = std::shared_ptr<MappedCacheFile>(
         new MappedCacheFile());
-    const auto size = static_cast<std::size_t>(st.st_size);
-    if (size == 0) {
-        ::close(fd);
-        return file; // empty file: valid mapping of zero bytes
-    }
-    void *map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (offset >= file_size)
+        return file; // nothing to map: valid mapping of zero bytes
+    const std::size_t size = file_size - offset;
+    // mmap offsets must be page-aligned; map from the page holding
+    // @p offset and point data() past the slack.
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t aligned = offset - offset % page;
+    const std::size_t len = file_size - aligned;
+    void *map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd,
+                       static_cast<off_t>(aligned));
     if (map != MAP_FAILED) {
         file->map_ = map;
-        file->data_ = static_cast<const std::uint8_t *>(map);
+        file->mapLen_ = len;
+        file->data_ = static_cast<const std::uint8_t *>(map) +
+                      (offset - aligned);
         file->size_ = size;
-        ::close(fd);
         return file;
     }
     // mmap-hostile filesystem: fall back to a plain read.
@@ -958,14 +1058,12 @@ MappedCacheFile::open(const std::string &path)
     std::size_t off = 0;
     while (off < size) {
         const ::ssize_t n =
-            ::read(fd, file->buffer_.data() + off, size - off);
-        if (n <= 0) {
-            ::close(fd);
+            ::pread(fd, file->buffer_.data() + off, size - off,
+                    static_cast<off_t>(offset + off));
+        if (n <= 0)
             return nullptr;
-        }
         off += static_cast<std::size_t>(n);
     }
-    ::close(fd);
     file->data_ = file->buffer_.data();
     file->size_ = size;
     return file;
@@ -974,7 +1072,7 @@ MappedCacheFile::open(const std::string &path)
 MappedCacheFile::~MappedCacheFile()
 {
     if (map_ != nullptr)
-        ::munmap(map_, size_);
+        ::munmap(map_, mapLen_);
 }
 
 // --- lazy lookups ---------------------------------------------------------
@@ -998,7 +1096,8 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         // A lazily-indexed entry: verify its checksum and
         // deserialize it now, outside the lock (the shared mapping
         // keeps the bytes alive; a racing decode of the same key is
-        // wasted work, not a bug). The canonical in-memory form keeps
+        // wasted work, and the durable mark is re-read afterwards).
+        // The canonical in-memory form keeps
         // absolute addresses at the entry the payload records
         // (origEntry), not the requested one.
         const PendingEntry pe = pit->second;
@@ -1021,6 +1120,7 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         func.cacheKey = key;
         Entry<Function> rec;
         rec.arch = pe.arch;
+        rec.durable = decodedDurable(pendingFunctions_, key, pe);
         rec.origEntry = func.entry;
         rec.tocDelta = toc_delta;
         rec.usesToc = uses_toc;
@@ -1091,6 +1191,7 @@ AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
         }
         Entry<LivenessResult> rec;
         rec.arch = pe.arch;
+        rec.durable = decodedDurable(pendingLiveness_, key, pe);
         rec.origEntry = orig_entry;
         rec.value =
             std::make_shared<const LivenessResult>(std::move(live));
@@ -1146,6 +1247,7 @@ AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
         }
         Entry<DataDeps> rec;
         rec.arch = pe.arch;
+        rec.durable = decodedDurable(pendingDataDeps_, key, pe);
         rec.origEntry = orig_entry;
         rec.value = std::make_shared<const DataDeps>(std::move(deps));
         CacheCounters::global().entriesLazy.fetch_add(
@@ -1170,6 +1272,55 @@ AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
         rebaseDataDeps(*value, orig, entry));
 }
 
+// --- tracked files --------------------------------------------------------
+
+void
+AnalysisCache::trackFile(const std::string &path)
+{
+    auto reset = [](auto &entries) {
+        for (auto &[key, e] : entries)
+            e.durable = false;
+    };
+    reset(functions_);
+    reset(liveness_);
+    reset(dataDeps_);
+    reset(pendingFunctions_);
+    reset(pendingLiveness_);
+    reset(pendingDataDeps_);
+    tracked_ = TrackedFile{};
+    tracked_.path = path;
+}
+
+void
+AnalysisCache::noteFileEntry(std::uint8_t kind, std::uint64_t key,
+                             std::uint64_t payload_hash)
+{
+    auto mark = [&](auto &decoded, auto &pending) {
+        if (auto it = decoded.find(key); it != decoded.end())
+            it->second.durable = true;
+        else if (auto pit = pending.find(key); pit != pending.end())
+            pit->second.durable = true;
+    };
+    if (kind == entry_kind_function) {
+        mark(functions_, pendingFunctions_);
+    } else if (kind == entry_kind_liveness) {
+        mark(liveness_, pendingLiveness_);
+    } else if (kind == entry_kind_datadeps) {
+        // A decoded read-set may have been re-derived under the same
+        // code key after a data edit: it is durable only when this
+        // (the newest so far) occurrence carries the same payload.
+        auto it = dataDeps_.find(key);
+        if (it == dataDeps_.end()) {
+            mark(dataDeps_, pendingDataDeps_);
+            return;
+        }
+        const std::vector<std::uint8_t> payload =
+            encodeDataDeps(*it->second.value, it->second.origEntry);
+        it->second.durable =
+            fnv1a(payload.data(), payload.size()) == payload_hash;
+    }
+}
+
 // --- load -----------------------------------------------------------------
 
 CacheLoadReport
@@ -1179,15 +1330,53 @@ AnalysisCache::load(const std::string &path,
     CacheLoadReport report;
 
     const CacheFileLock read_lock(path, /*shared=*/true);
-    auto file = MappedCacheFile::open(path);
-    if (!file)
+    const CacheFileHandle handle(path);
+    if (!handle.ok())
         return report; // absent file: cold start, not an error
+
+    // Resume where an earlier load of this very file stopped: it only
+    // ever grows by appended segments until it is replaced.
+    std::uint64_t offset = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        const TrackedFile &t = tracked_;
+        if (t.path == path && t.indexedBytes != 0 &&
+            sameFile(t, handle) && t.arch == expect_arch &&
+            handle.size >= t.indexedBytes)
+            offset = t.indexedBytes;
+    }
+    if (offset != 0 && offset == handle.size) {
+        // Unchanged since it was indexed: nothing to map.
+        report.fileRead = true;
+        report.fileVersion = cache_file_version;
+        return report;
+    }
+
+    auto file = MappedCacheFile::map(
+        handle.fd, static_cast<std::size_t>(offset),
+        static_cast<std::size_t>(handle.size));
+    if (!file)
+        return report;
+    ScanResult scan;
+    if (offset != 0) {
+        scan.version = cache_file_version;
+        scanSegments(file->data(), file->size(),
+                     static_cast<std::size_t>(offset), scan);
+        if (scan.torn || !scan.issues.empty()) {
+            // A damaged tail: load the whole file the usual way.
+            offset = 0;
+            file = MappedCacheFile::map(
+                handle.fd, 0, static_cast<std::size_t>(handle.size));
+            if (!file)
+                return report;
+        }
+    }
+    if (offset == 0)
+        scan = scanFile(file);
     report.fileRead = true;
     report.bytesMapped = file->size();
     CacheCounters::global().bytesMapped.fetch_add(
         file->size(), std::memory_order_relaxed);
-
-    ScanResult scan = scanFile(file);
     report.fileVersion = scan.version;
     report.segments = scan.segments;
     report.droppedEntries += scan.droppedEntries;
@@ -1256,6 +1445,14 @@ AnalysisCache::load(const std::string &path,
     }
 
     std::lock_guard<std::mutex> lock(mu_);
+    // A full load tracks the file and re-derives its durable marks
+    // from scratch; a resumed one marks the appended segments' keys
+    // (unless another file was loaded or saved meanwhile).
+    if (offset == 0)
+        trackFile(path);
+    const bool tracked = tracked_.path == path &&
+                         (offset == 0 || sameFile(tracked_, handle));
+
     // Decoded in-memory entries win over file entries; among file
     // entries for the same key the newest occurrence (last in file
     // order: save() appends replacements when a function's data
@@ -1267,10 +1464,13 @@ AnalysisCache::load(const std::string &path,
         pe.payloadLen = e->payloadLen;
         pe.payloadHash = e->payloadHash;
         pe.file = file;
+        pe.durable = tracked && e->completeSegment;
         auto index = [&](auto &decoded, auto &pending,
                          unsigned &loaded) {
             if (decoded.count(e->key)) {
                 ++report.skippedExisting;
+                if (pe.durable)
+                    noteFileEntry(e->kind, e->key, e->payloadHash);
                 return;
             }
             if (!pending.count(e->key))
@@ -1287,102 +1487,146 @@ AnalysisCache::load(const std::string &path,
             index(dataDeps_, pendingDataDeps_,
                   report.loadedDataDeps);
     }
+
+    if (tracked) {
+        // Only a clean current-version file is tracked: anything
+        // else is loaded in full every time, issues and all.
+        if (scan.version != cache_file_version || scan.torn ||
+            !report.clean()) {
+            tracked_ = TrackedFile{};
+        } else {
+            TrackedFile &t = tracked_;
+            t.dev = handle.dev;
+            t.ino = handle.ino;
+            t.headHash = handle.headHash;
+            t.indexedBytes = std::max(t.indexedBytes, handle.size);
+            t.checkedBytes = std::max(t.checkedBytes, handle.size);
+            t.maxGeneration =
+                std::max(t.maxGeneration, scan.maxGeneration);
+            t.arch = expect_arch;
+        }
+    }
     return report;
 }
 
 // --- save -----------------------------------------------------------------
 
 bool
-AnalysisCache::save(const std::string &path,
-                    std::uint64_t max_bytes) const
+AnalysisCache::save(const std::string &path, std::uint64_t max_bytes)
 {
-    // Writers serialize here; the scan below therefore sees every
+    // Writers serialize here; the scans below therefore see every
     // segment earlier writers appended (merge-on-save).
     CacheFileLock file_lock(path);
+    const CacheFileHandle handle(path);
 
-    auto file = MappedCacheFile::open(path);
-    ScanResult scan;
-    if (file)
-        scan = scanFile(file);
-    const bool append_mode =
-        file && scan.usableV2() && !scan.torn;
-
-    // Keys already durable in the file, kept per entry kind —
-    // function, liveness, and data-dep entries share the
-    // Function::cacheKey namespace — plus the newest durable payload
-    // hash of each data read-set, so a read-set that changed under
-    // an unchanged code key (a data edit) triggers a replacement
-    // append instead of being treated as already saved.
-    std::unordered_set<std::uint64_t> file_fn, file_lv, file_deps;
-    std::unordered_map<std::uint64_t, std::uint64_t> file_deps_hash;
-    for (const RawEntry &e : scan.entries) {
-        if (!e.completeSegment)
-            continue;
-        if (e.kind == entry_kind_function)
-            file_fn.insert(e.key);
-        else if (e.kind == entry_kind_liveness)
-            file_lv.insert(e.key);
-        else if (e.kind == entry_kind_datadeps) {
-            file_deps.insert(e.key);
-            file_deps_hash[e.key] = e.payloadHash;
+    // What the durable marks already describe: the file's first
+    // `resume` bytes when this is the file this cache last loaded or
+    // saved (0 = nothing, scan it all).
+    std::uint64_t resume = 0;
+    std::uint64_t indexed = 0;
+    std::uint64_t generation = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        const TrackedFile &t = tracked_;
+        if (t.path == path && sameFile(t, handle) &&
+            handle.size >= t.checkedBytes) {
+            resume = t.checkedBytes;
+            indexed = t.indexedBytes;
+            generation = t.maxGeneration;
         }
     }
 
-    // Collect the delta — everything in memory the file lacks —
-    // under the cache lock, but only as cheap references: values are
-    // shared immutable snapshots, and pending (never-decoded)
+    // Scan what the marks do not cover yet: the segments other
+    // writers appended since (usually none), or the whole file.
+    std::shared_ptr<MappedCacheFile> file;
+    ScanResult scan;
+    auto scanFrom = [&](std::uint64_t offset) {
+        scan = ScanResult{};
+        file = MappedCacheFile::map(
+            handle.fd, static_cast<std::size_t>(offset),
+            static_cast<std::size_t>(handle.size));
+        if (!file)
+            return;
+        if (offset == 0) {
+            scan = scanFile(file);
+            return;
+        }
+        scan.version = cache_file_version;
+        scanSegments(file->data(), file->size(),
+                     static_cast<std::size_t>(offset), scan);
+    };
+    if (resume != 0 && handle.size > resume) {
+        scanFrom(resume);
+        if (!file || scan.torn || !scan.issues.empty())
+            resume = 0;
+    }
+    if (resume == 0) {
+        generation = 0;
+        if (handle.ok())
+            scanFrom(0);
+    }
+    const bool append_mode =
+        resume != 0 || (file && scan.usableV2() && !scan.torn);
+    generation = std::max(generation, scan.maxGeneration) + 1;
+
+    // Collect the delta — every entry whose durable mark is clear —
+    // under the cache lock, but only as cheap references: values
+    // are shared immutable snapshots, and pending (never-decoded)
     // entries stay raw so their payload bytes copy straight through
     // without a decode+re-encode trip. On a fully-warm run this
-    // finds nothing and the save costs one header scan. Ordered maps
-    // keep output byte-stable for identical contents.
+    // finds nothing. Ordered maps keep output byte-stable for
+    // identical contents. The marks are set here, before the write:
+    // only this path's writers and readers could observe them, and
+    // they wait on the file lock; a failed write forgets the file.
     std::map<std::uint64_t, Entry<Function>> miss_fn;
     std::map<std::uint64_t, Entry<LivenessResult>> miss_lv;
     std::map<std::uint64_t, Entry<DataDeps>> miss_deps;
     std::map<std::uint64_t, PendingEntry> miss_fn_raw, miss_lv_raw,
         miss_deps_raw;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> deps_payload;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &[key, entry] : dataDeps_) {
-            // Read-sets are tiny (a handful of ranges); encoding
-            // them under the lock to compare against the file's
-            // payload hash is cheaper than a decode round trip.
-            std::vector<std::uint8_t> payload =
-                encodeDataDeps(*entry.value, entry.origEntry);
-            const bool stale =
-                file_deps.count(key) != 0 &&
-                file_deps_hash[key] !=
-                    fnv1a(payload.data(), payload.size());
-            if (!file_deps.count(key) || stale) {
-                miss_deps.emplace(key, entry);
-                deps_payload.emplace(key, std::move(payload));
+        if (resume == 0 || tracked_.path != path) {
+            // A full scan, or another file was loaded or saved since
+            // the check above (one cache, two files at once) and
+            // cleared the marks: everything in memory but the tail
+            // is appended again, and load() and compaction keep the
+            // newest occurrence of each key.
+            trackFile(path);
+            indexed = 0;
+        }
+        for (const RawEntry &e : scan.entries)
+            if (e.completeSegment)
+                noteFileEntry(e.kind, e.key, e.payloadHash);
+
+        auto collect = [&](auto &entries, auto &miss) {
+            for (auto &[key, entry] : entries) {
+                if (entry.durable)
+                    continue;
+                entry.durable = true;
+                miss.emplace(key, entry);
             }
-            if (stale) {
-                // A changed read-set under an unchanged code key
-                // means a data edit re-analyzed this function: the
-                // file's function payload is stale too. Append the
-                // fresh one — load() lets the newest occurrence of
-                // a key win.
-                auto fit = functions_.find(key);
-                if (fit != functions_.end())
-                    miss_fn.emplace(key, fit->second);
+        };
+        for (auto &[key, entry] : dataDeps_) {
+            if (entry.durable)
+                continue;
+            entry.durable = true;
+            miss_deps.emplace(key, entry);
+            // A read-set the file lacks or holds differently comes
+            // from a (re-)analysis, e.g. after a data edit under an
+            // unchanged code key: the file's function payload for
+            // the key is stale too. Append the fresh one — load()
+            // lets the newest occurrence of a key win.
+            auto fit = functions_.find(key);
+            if (fit != functions_.end()) {
+                fit->second.durable = true;
+                miss_fn.emplace(key, fit->second);
             }
         }
-        for (const auto &[key, pe] : pendingDataDeps_)
-            if (!file_deps.count(key))
-                miss_deps_raw.emplace(key, pe);
-        for (const auto &[key, entry] : functions_)
-            if (!file_fn.count(key))
-                miss_fn.emplace(key, entry);
-        for (const auto &[key, pe] : pendingFunctions_)
-            if (!file_fn.count(key))
-                miss_fn_raw.emplace(key, pe);
-        for (const auto &[key, entry] : liveness_)
-            if (!file_lv.count(key))
-                miss_lv.emplace(key, entry);
-        for (const auto &[key, pe] : pendingLiveness_)
-            if (!file_lv.count(key))
-                miss_lv_raw.emplace(key, pe);
+        collect(pendingDataDeps_, miss_deps_raw);
+        collect(functions_, miss_fn);
+        collect(pendingFunctions_, miss_fn_raw);
+        collect(liveness_, miss_lv);
+        collect(pendingLiveness_, miss_lv_raw);
     }
 
     // The delta segment, functions before liveness, sorted by key.
@@ -1411,7 +1655,7 @@ AnalysisCache::save(const std::string &path,
     }
     for (const auto &[key, entry] : miss_deps) {
         appendEntry(body, entry_kind_datadeps, entry.arch, key,
-                    deps_payload[key]);
+                    encodeDataDeps(*entry.value, entry.origEntry));
         ++count;
     }
     for (const auto &[key, pe] : miss_deps_raw) {
@@ -1425,7 +1669,6 @@ AnalysisCache::save(const std::string &path,
         // Fully-warm run: nothing new, the file is not touched at
         // all (same bytes, same mtime).
     } else if (append_mode) {
-        const std::uint64_t generation = scan.maxGeneration + 1;
         const std::vector<std::uint8_t> seg =
             segmentBytes(count, body, generation);
         std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -1443,7 +1686,6 @@ AnalysisCache::save(const std::string &path,
         // full atomic rewrite. Durable raw entries from any readable
         // scan are copied through (deduplicated per kind, newest
         // occurrence first); everything else comes from memory.
-        const std::uint64_t generation = scan.maxGeneration + 1;
         std::vector<std::uint8_t> full_body;
         std::uint32_t full_count = 0;
         if (scan.version != 0) {
@@ -1477,10 +1719,32 @@ AnalysisCache::save(const std::string &path,
 
     // Size-cap policy: compact in place while still holding the
     // lock (compaction failure never fails the save).
+    bool compacted = false;
     if (ok && max_bytes != 0 && fileSizeOf(path) > max_bytes) {
         CacheCompactionResult compaction;
         compactLocked(path, max_bytes, compaction);
+        compacted = true;
     }
+
+    // Remember where the file now ends. A resumed save that found
+    // no foreign segments extends what load() has indexed, too: the
+    // only new bytes are its own entries.
+    const CacheFileHandle after(path);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tracked_.path != path)
+        return ok; // another file is tracked by now
+    if (!ok || compacted || !after.ok()) {
+        tracked_ = TrackedFile{};
+        return ok;
+    }
+    TrackedFile &t = tracked_;
+    if (resume != 0 && resume == handle.size && indexed == resume)
+        t.indexedBytes = after.size;
+    t.dev = after.dev;
+    t.ino = after.ino;
+    t.headHash = after.headHash;
+    t.checkedBytes = after.size;
+    t.maxGeneration = generation - (append_mode && count == 0 ? 1 : 0);
     return ok;
 }
 

@@ -69,7 +69,11 @@
  * leaves the file untouched); concurrent writers serialize on an
  * advisory `<path>.lock` flock and re-scan the file's key set under
  * the lock before appending, so parallel CI shards merge instead of
- * clobbering. Readers (load, inspect, verify) hold the same lock
+ * clobbering. Both are incremental per AnalysisCache instance: the
+ * file it last loaded or saved (same inode and header) is only
+ * scanned from where it last looked, so an unchanged file loads
+ * without being mapped and a save scans just what other writers
+ * appended. Readers (load, inspect, verify) hold the same lock
  * shared while they map and scan, so they never see a segment a
  * live writer is still appending. A torn final segment (a writer
  * died mid-append) is salvaged entry-by-entry at load and repaired

@@ -226,13 +226,13 @@ RewriteSession::loadInput(BinaryImage newImage)
         out.unchangedFunctions =
             static_cast<unsigned>(span_count - dirty.size());
 
-    // Adopt the new image; the old CFG described the old bytes.
+    // Adopt the new image.
     owned_ = std::move(newImage);
     input_ = &owned_;
-    cfgBuilt_ = false;
 
     if (!comparable) {
         // Unrelated input: behave like a fresh session.
+        cfgBuilt_ = false;
         result_ = RewriteResult{};
         hasResult_ = false;
         report_ = LintReport{};
@@ -242,11 +242,11 @@ RewriteSession::loadInput(BinaryImage newImage)
         return out;
     }
 
-    // Rebuild the CFG on the new bytes. Unchanged functions hit the
-    // AnalysisCache by content key, so only the dirty bodies (plus
-    // any cold-cache remainder) actually re-analyze.
+    // Bring the CFG up to the new bytes: only the dirty functions
+    // are rebuilt, every other one keeps its Function as it is.
     const CacheLoadReport cache_load = mergeDiskCache();
-    ensureCfg();
+    out.cacheBytesMapped = cache_load.bytesMapped;
+    out.reanalyzedFunctions = spliceCfg(dirty);
 
     out.incremental = true;
     out.dirtyFunctions = dirty;
@@ -326,12 +326,19 @@ RewriteSession::saveDiskCache(const RewriteResult &result)
                                  opts_.cacheMaxBytes);
 }
 
-void
-RewriteSession::ensureCfg()
+AnalysisOptions
+RewriteSession::analysisOptions() const
 {
     AnalysisOptions aopts = opts_.analysis;
     aopts.threads = opts_.threads;
     aopts.useCache = opts_.useAnalysisCache;
+    return aopts;
+}
+
+void
+RewriteSession::ensureCfg()
+{
+    const AnalysisOptions aopts = analysisOptions();
     if (cfgBuilt_ && sameCfgShape(aopts, cfgOpts_)) {
         cfgOpts_ = aopts;
         return;
@@ -339,6 +346,26 @@ RewriteSession::ensureCfg()
     cfg_ = buildCfg(*input_, aopts);
     cfgBuilt_ = true;
     cfgOpts_ = aopts;
+}
+
+unsigned
+RewriteSession::spliceCfg(const std::set<Addr> &dirty)
+{
+    const AnalysisOptions aopts = analysisOptions();
+    if (!cfgBuilt_ || !sameCfgShape(aopts, cfgOpts_)) {
+        ensureCfg(); // rebuilds everything
+        return cfg_.totalFunctions();
+    }
+    // A clean function's code bytes and the data bytes it read are
+    // unchanged (every other kind of change reset the session), which
+    // is exactly when a whole-image rebuild would hand back the same
+    // validated cache hit: its Function stays as it is.
+    cfg_.image = input_;
+    CfgModule fresh = buildCfg(*input_, aopts, dirty);
+    for (auto &[entry, func] : fresh.functions)
+        cfg_.functions[entry] = std::move(func);
+    cfgOpts_ = aopts;
+    return fresh.totalFunctions();
 }
 
 const CfgModule &

@@ -114,22 +114,42 @@ class RewriteSession
 
         /** Function symbols whose bodies were byte-identical. */
         unsigned unchangedFunctions = 0;
+
+        /**
+         * Functions this call ran through buildCfg (a cache lookup,
+         * then analysis on a miss): the dirty ones on the incremental
+         * path, all of them when the CFG had to be rebuilt whole, 0
+         * after a reset (the next rewrite() builds it).
+         */
+        unsigned reanalyzedFunctions = 0;
+
+        /** Cache-file bytes this call's load mapped (0: no cache
+         *  file, or nothing new in it). */
+        std::uint64_t cacheBytesMapped = 0;
     };
 
     /**
      * Replace the session's input with @p newImage (a new build of
      * the same binary). Diffs the new image's function bodies against
-     * the current input: functions whose bytes changed are marked
-     * dirty, the CFG is rebuilt (unchanged functions hit the
-     * AnalysisCache by content key), and — when a previous rewrite
-     * exists under compatible layout — only the dirty functions are
-     * re-rewritten via the selective re-rewrite path; every other
-     * function's bytes are spliced from the previous result.
+     * the current input: functions whose bytes changed are dirty, and
+     * so are the readers (Function::dataDeps) of changed data bytes.
+     * Only the dirty functions go through buildCfg again — one call
+     * over that set — and are spliced into the session CFG; every
+     * other Function stays as it was, which is exactly what a
+     * whole-image rebuild would return for it (its code and read
+     * bytes are unchanged). An identical rebuild or an edit of data
+     * nothing reads analyzes nothing. The on-disk cache is merged
+     * before (mapping only what other writers appended) and saved
+     * after (appending only what is new). Then only the dirty
+     * functions are re-rewritten via the selective re-rewrite path;
+     * every other function's bytes are spliced from the previous
+     * result.
      *
      * When the images are not diffable (different arch, section
-     * layout, symbol set, or data-section bytes changed — cloned
-     * jump tables copy data, so a data edit invalidates splicing),
-     * the session resets to a fresh state on the new input.
+     * layout, symbol set, changed bytes outside any function, or a
+     * data edit under a relocation, scratch range, pointer cell or a
+     * structural section), the session resets to a fresh state on
+     * the new input.
      */
     LoadOutcome loadInput(BinaryImage newImage);
 
@@ -191,7 +211,13 @@ class RewriteSession
     const RewriteOptions &options() const { return opts_; }
 
   private:
+    AnalysisOptions analysisOptions() const;
     void ensureCfg();
+
+    /** Rebuild only @p dirty into the session CFG after an input
+     *  swap (everything, via ensureCfg(), when there is no CFG of
+     *  the current analysis shape); returns how many it rebuilt. */
+    unsigned spliceCfg(const std::set<Addr> &dirty);
 
     /** Merge opts_.cachePath into the AnalysisCache (no-op when
      *  unset); must run before ensureCfg() to seed the CFG build. */

@@ -269,10 +269,11 @@ ServeServer::run()
         }
         ThreadPool::shared().submit([this, fd] {
             handleConnection(fd);
-            {
-                std::lock_guard<std::mutex> lock(inflightMu_);
-                --inflight_;
-            }
+            // Notify under the mutex: once inflight_ reads 0 the
+            // draining thread may return from run() and the owner
+            // destroy this server, condition variable included.
+            std::lock_guard<std::mutex> lock(inflightMu_);
+            --inflight_;
             inflightCv_.notify_all();
         });
     }
@@ -508,6 +509,8 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
         reply.set("reused",
                   std::uint64_t{stats.instrumentedFunctions});
         reply.set("functions", std::uint64_t{stats.totalFunctions});
+        reply.set("analyzed", std::uint64_t{0});
+        reply.set("cache_mapped", std::uint64_t{0});
         return true;
     }
 
@@ -528,6 +531,10 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
 
     std::uint64_t dirty = 0;
     bool incremental = false;
+    // Functions through buildCfg and cache-file bytes mapped by this
+    // request; a fresh rewrite analyzes (or looks up) every function.
+    std::uint64_t analyzed = 0;
+    std::uint64_t cache_mapped = 0;
     if (!resident.everRewritten) {
         resident.session =
             std::make_unique<RewriteSession>(std::move(*img));
@@ -544,6 +551,8 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
             resident.session->loadInput(std::move(*img));
         incremental = outcome.incremental;
         dirty = outcome.dirtyFunctions.size();
+        analyzed = outcome.reanalyzedFunctions;
+        cache_mapped = outcome.cacheBytesMapped;
         if (!outcome.incremental) {
             // Not diffable (layout/symbols changed): the session
             // reset; run a fresh rewrite on the new input.
@@ -561,6 +570,10 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
     }
 
     const RewriteResult &rw = resident.session->lastResult();
+    if (!incremental) {
+        analyzed = rw.stats.totalFunctions;
+        cache_mapped = rw.cacheLoad.bytesMapped;
+    }
     resident.outputBytes = rw.image.serialize();
     resident.stampMtimeNs = mtime_ns;
     resident.stampSize = size;
@@ -575,6 +588,8 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
     reply.set("reused",
               std::uint64_t{rw.stats.relocReusedFunctions});
     reply.set("functions", std::uint64_t{rw.stats.totalFunctions});
+    reply.set("analyzed", analyzed);
+    reply.set("cache_mapped", cache_mapped);
     return true;
 }
 

@@ -1202,6 +1202,155 @@ TEST(CacheStore, DataEditAppendsReplacementDepsEntries)
     EXPECT_EQ(second.image.serialize(), first.image.serialize());
 }
 
+// --- cache-file work proportional to what is new --------------------------
+
+TEST(CacheStore, LoadAndSaveTouchOnlyWhatIsNew)
+{
+    const std::string path = tmpPath("only_new");
+    std::remove(path.c_str());
+    const BinaryImage img = compileMicro(Arch::x64);
+    AnalysisOptions aopts;
+    aopts.useCache = false;
+    const CfgModule cfg = buildCfg(img, aopts);
+    ASSERT_FALSE(cfg.functions.empty());
+    const Function &func = cfg.functions.begin()->second;
+    // Two caches sharing one file, as two processes would; entries
+    // under synthetic keys [lo, hi).
+    AnalysisCache writer, reader;
+    auto store = [&](AnalysisCache &cache, std::uint64_t lo,
+                     std::uint64_t hi) {
+        for (std::uint64_t key = lo; key < hi; ++key)
+            cache.storeFunction(key, img.arch, func, img.tocBase);
+    };
+
+    store(writer, 1, 11);
+    ASSERT_TRUE(writer.save(path));
+    const std::uint64_t size_one = stampOf(path).size;
+
+    // First load: the whole file.
+    CacheLoadReport rep = reader.load(path, img.arch);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.bytesMapped, size_one);
+    EXPECT_EQ(rep.loadedFunctions, 10u);
+
+    // Unchanged file: nothing mapped, nothing indexed.
+    rep = reader.load(path, img.arch);
+    EXPECT_TRUE(rep.fileRead);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.bytesMapped, 0u);
+    EXPECT_EQ(rep.loadedEntries(), 0u);
+    EXPECT_EQ(rep.skippedExisting, 0u);
+    EXPECT_EQ(reader.entryCount(), 10u);
+
+    // The other cache appends one segment; the next load maps and
+    // indexes that segment only.
+    store(writer, 11, 16);
+    ASSERT_TRUE(writer.save(path));
+    const std::uint64_t size_two = stampOf(path).size;
+    EXPECT_EQ(inspectCacheFile(path).segments, 2u);
+    rep = reader.load(path, img.arch);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.segments, 1u);
+    EXPECT_EQ(rep.bytesMapped, size_two - size_one);
+    EXPECT_EQ(rep.loadedFunctions, 5u);
+    EXPECT_EQ(reader.entryCount(), 15u);
+
+    // Overlapping saves: both caches analyzed keys 18..20. The
+    // reader's save re-checks the writer's new segment and appends
+    // only what the file lacks, so every key is in the file once.
+    store(writer, 16, 21);
+    ASSERT_TRUE(writer.save(path));
+    store(reader, 18, 26);
+    ASSERT_TRUE(reader.save(path));
+    CacheFileInfo info = inspectCacheFile(path);
+    EXPECT_TRUE(info.issues.empty());
+    EXPECT_EQ(info.segments, 4u);
+    EXPECT_EQ(info.functionEntries, 25u);
+    EXPECT_EQ(info.distinctKeys, 25u);
+
+    // A save with nothing new leaves the file alone.
+    const FileStamp before = stampOf(path);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(writer.save(path));
+    ASSERT_TRUE(reader.save(path));
+    EXPECT_TRUE(before == stampOf(path));
+    EXPECT_EQ(inspectCacheFile(path).functionEntries, 25u);
+
+    // Compaction renames a new inode into place: the next load is a
+    // full one again, and so is the next save's scan.
+    CacheCompactionResult compaction;
+    ASSERT_TRUE(compactCacheFile(path, 0, compaction));
+    const std::uint64_t size_compact = stampOf(path).size;
+    rep = reader.load(path, img.arch);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.bytesMapped, size_compact);
+    store(reader, 26, 27);
+    ASSERT_TRUE(reader.save(path));
+    info = inspectCacheFile(path);
+    EXPECT_EQ(info.functionEntries, 26u);
+    EXPECT_EQ(info.distinctKeys, 26u);
+
+    // clear() forgets what was indexed.
+    reader.clear();
+    rep = reader.load(path, img.arch);
+    EXPECT_EQ(rep.bytesMapped, stampOf(path).size);
+    EXPECT_EQ(rep.loadedFunctions, 26u);
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
+}
+
+TEST(CacheStore, AnotherFileTakesTheFullPath)
+{
+    // One cache, two files: only the file it last loaded or saved is
+    // tracked, so switching files scans the other one whole.
+    const std::string path_a = tmpPath("switch_a");
+    const std::string path_b = tmpPath("switch_b");
+    std::remove(path_a.c_str());
+    std::remove(path_b.c_str());
+    const BinaryImage img = compileMicro(Arch::x64);
+    AnalysisOptions aopts;
+    aopts.useCache = false;
+    const CfgModule cfg = buildCfg(img, aopts);
+    ASSERT_FALSE(cfg.functions.empty());
+    const Function &func = cfg.functions.begin()->second;
+    AnalysisCache cache;
+    auto store = [&](std::uint64_t lo, std::uint64_t hi) {
+        for (std::uint64_t key = lo; key < hi; ++key)
+            cache.storeFunction(key, img.arch, func, img.tocBase);
+    };
+
+    store(1, 6);
+    ASSERT_TRUE(cache.save(path_a));
+    store(6, 9);
+    ASSERT_TRUE(cache.save(path_b));
+    EXPECT_EQ(inspectCacheFile(path_b).functionEntries, 8u);
+
+    CacheLoadReport rep = cache.load(path_a, img.arch);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.bytesMapped, stampOf(path_a).size);
+    EXPECT_EQ(rep.skippedExisting, 5u);
+
+    // A lacks keys 6..8: the save appends exactly those.
+    ASSERT_TRUE(cache.save(path_a));
+    CacheFileInfo info = inspectCacheFile(path_a);
+    EXPECT_EQ(info.segments, 2u);
+    EXPECT_EQ(info.functionEntries, 8u);
+    EXPECT_EQ(info.distinctKeys, 8u);
+    const FileStamp before = stampOf(path_a);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(cache.save(path_a));
+    EXPECT_TRUE(before == stampOf(path_a));
+
+    rep = cache.load(path_b, img.arch);
+    EXPECT_EQ(rep.bytesMapped, stampOf(path_b).size);
+    ASSERT_TRUE(cache.save(path_b));
+    EXPECT_EQ(inspectCacheFile(path_b).functionEntries, 8u);
+    for (const std::string &p : {path_a, path_b}) {
+        std::remove(p.c_str());
+        std::remove((p + ".lock").c_str());
+    }
+}
+
 // --- readers against a live writer ----------------------------------------
 
 TEST(CacheStore, ConcurrentSaveLoadNeverSeesTornSegment)

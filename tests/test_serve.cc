@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -482,6 +483,69 @@ TEST(ServeDaemon, WarmRewriteIsIncrementalAndByteIdentical)
     EXPECT_EQ(daemon.exitCode(), 0);
     std::remove(in_path.c_str());
     std::remove(out_path.c_str());
+}
+
+TEST(ServeDaemon, OneFunctionEditReportsItsWork)
+{
+    // The reply's per-operation work report: a one-function edit
+    // runs one function through analysis and maps nothing of the
+    // cache file (the daemon's own appends are already indexed).
+    const std::string in_path = "/tmp/icp_test_serve_work.sbf";
+    const std::string out_path = "/tmp/icp_test_serve_work_out.sbf";
+    const std::string cache_path = "/tmp/icp_test_serve_work.icpc";
+    const BinaryImage base = compileProgram(microProfile(Arch::x64, true));
+    ASSERT_TRUE(writeFileBytes(in_path, base.serialize()));
+
+    // A cache file from an earlier run; the daemon starts with an
+    // empty in-memory cache.
+    std::remove(cache_path.c_str());
+    RewriteOptions seed_opts = serveDefaultOptions();
+    seed_opts.cachePath = cache_path;
+    ASSERT_TRUE(rewriteBinary(base, seed_opts).ok);
+    struct stat st;
+    ASSERT_EQ(::stat(cache_path.c_str(), &st), 0);
+    AnalysisCache::global().clear();
+
+    DaemonFixture daemon("work");
+    ServeMessage rewrite;
+    rewrite.verb = "rewrite";
+    rewrite.set("path", in_path);
+    rewrite.set("out", out_path);
+    rewrite.set("cache_file", cache_path);
+
+    const ServeMessage first = daemon.call(rewrite);
+    ASSERT_EQ(first.verb, "ok");
+    EXPECT_EQ(first.getU64("analyzed"), first.getU64("functions"));
+    EXPECT_EQ(first.getU64("cache_mapped"),
+              static_cast<std::uint64_t>(st.st_size));
+
+    BinaryImage edited = compileProgram(microProfile(Arch::x64, true));
+    ASSERT_FALSE(mutateOneImmediate(edited).empty());
+    const BinaryImage *states[] = {&edited, &base}; // edit, revert
+    for (const BinaryImage *img : states) {
+        ASSERT_TRUE(writeFileBytes(in_path, img->serialize()));
+        const ServeMessage reply = daemon.call(rewrite);
+        ASSERT_EQ(reply.verb, "ok");
+        EXPECT_EQ(reply.getU64("incremental"), 1u);
+        EXPECT_EQ(reply.getU64("dirty"), 1u);
+        EXPECT_EQ(reply.getU64("emitted"), 1u);
+        EXPECT_EQ(reply.getU64("analyzed"), 1u);
+        EXPECT_EQ(reply.getU64("cache_mapped"), 0u);
+    }
+
+    // Unchanged input: answered from the stored result.
+    const ServeMessage cached = daemon.call(rewrite);
+    ASSERT_EQ(cached.verb, "ok");
+    EXPECT_EQ(cached.getU64("cached"), 1u);
+    EXPECT_EQ(cached.getU64("analyzed"), 0u);
+    EXPECT_EQ(cached.getU64("cache_mapped"), 0u);
+
+    daemon.stop();
+    EXPECT_EQ(daemon.exitCode(), 0);
+    std::remove(in_path.c_str());
+    std::remove(out_path.c_str());
+    std::remove(cache_path.c_str());
+    std::remove((cache_path + ".lock").c_str());
 }
 
 TEST(ServeDaemon, LruEvictionUnderTinyBudgetReopensCorrectly)

@@ -8,12 +8,15 @@
  * across thread counts — and identical to a defect-free rewrite.
  */
 
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/builder.hh"
 #include "analysis/cache.hh"
 #include "analysis/datadeps.hh"
 #include "codegen/compiler.hh"
@@ -444,11 +447,16 @@ TEST_P(SessionLoadInput, UnchangedInputKeepsPreviousResult)
     ASSERT_TRUE(first.ok) << first.failReason;
     const std::vector<std::uint8_t> bytes = first.image.serialize();
 
-    // A byte-identical new build: nothing is dirty, the previous
-    // result stands untouched.
+    // A byte-identical new build: nothing is dirty, nothing is
+    // looked up or analyzed, the previous result stands untouched.
+    const auto pre = AnalysisCache::global().stats();
     const auto out = session.loadInput(compileMicro(arch));
+    const auto post = AnalysisCache::global().stats();
     EXPECT_TRUE(out.incremental);
     EXPECT_TRUE(out.dirtyFunctions.empty());
+    EXPECT_EQ(out.reanalyzedFunctions, 0u);
+    EXPECT_EQ(post.functionHits + post.functionMisses,
+              pre.functionHits + pre.functionMisses);
     EXPECT_GT(out.unchangedFunctions, 0u);
     ASSERT_TRUE(session.hasResult());
     EXPECT_EQ(session.lastResult().image.serialize(), bytes);
@@ -481,10 +489,12 @@ TEST_P(SessionLoadInput, OneFunctionEditReanalyzesOnlyThatFunction)
     EXPECT_EQ(out.unchangedFunctions,
               static_cast<unsigned>(total - 1));
 
-    // Analysis-reuse: exactly the edited function's CFG was rebuilt;
-    // every other function hit the AnalysisCache by content key.
+    // O(dirty) analysis: exactly the edited function went through
+    // buildCfg — one cache lookup, a miss (its code key is new) —
+    // and every other function kept its Function untouched.
     EXPECT_EQ(post.functionMisses - pre.functionMisses, 1u);
-    EXPECT_GE(post.functionHits - pre.functionHits, total - 1);
+    EXPECT_EQ(post.functionHits - pre.functionHits, 0u);
+    EXPECT_EQ(out.reanalyzedFunctions, 1u);
 
     // Selective re-rewrite: one function re-emitted, the rest
     // spliced verbatim from the previous pass.
@@ -662,6 +672,8 @@ TEST_P(SessionDataDeps, UnreadDataEditSplicesWithZeroDirty)
     EXPECT_TRUE(out.incremental);
     EXPECT_TRUE(out.dirtyFunctions.empty());
     EXPECT_EQ(post.functionMisses - pre.functionMisses, 0u);
+    EXPECT_EQ(post.functionHits - pre.functionHits, 0u);
+    EXPECT_EQ(out.reanalyzedFunctions, 0u);
 
     // The stats describe this edit, not the previous full rewrite.
     const RewriteStats &stats = session.lastResult().stats;
@@ -747,6 +759,239 @@ TEST_P(SessionDataDeps, JumpTableEditDirtiesExactlyItsReaders)
 
 INSTANTIATE_TEST_SUITE_P(
     AllArchs, SessionDataDeps,
+    ::testing::Values(Arch::x64, Arch::ppc64le, Arch::aarch64),
+    [](const ::testing::TestParamInfo<Arch> &info) {
+        return sanitize(archName(info.param));
+    });
+
+// --- loadInput: the dirty-only CFG equals a whole-image rebuild -----------
+
+namespace
+{
+
+/** One edit site: new bytes for [addr, addr + bytes.size()). */
+struct EditSite
+{
+    std::string kind;
+    Addr addr = 0;
+    std::vector<std::uint8_t> bytes;
+};
+
+/**
+ * One in-place immediate flip per function (same encoded length),
+ * the code edits of the equivalence test.
+ */
+std::vector<EditSite>
+codeEditSites(const BinaryImage &img)
+{
+    std::vector<EditSite> sites;
+    const Codec &codec = *img.archInfo().codec;
+    for (const Symbol *sym : img.functionSymbols()) {
+        std::vector<std::uint8_t> body;
+        if (!img.readBytes(sym->addr, sym->size, body))
+            continue;
+        Addr addr = sym->addr;
+        for (std::size_t off = 0; off < body.size();) {
+            Instruction in;
+            if (!codec.decode(body.data() + off, body.size() - off,
+                              addr, in) ||
+                in.length == 0)
+                break;
+            std::vector<std::uint8_t> enc;
+            if (in.op == Opcode::AddImm && in.imm > 1) {
+                Instruction edit = in;
+                edit.imm = in.imm ^ 1;
+                if (codec.encode(edit, addr, enc) &&
+                    enc.size() == in.length) {
+                    sites.push_back({"code", addr, enc});
+                    break;
+                }
+            }
+            off += in.length;
+            addr += in.length;
+        }
+    }
+    return sites;
+}
+
+void
+expectSameInsn(const Instruction &a, const Instruction &b)
+{
+    EXPECT_EQ(a.addr, b.addr);
+    EXPECT_EQ(a.op, b.op);
+    EXPECT_EQ(a.length, b.length);
+    EXPECT_EQ(a.target, b.target);
+    EXPECT_EQ(a.imm, b.imm);
+    EXPECT_EQ(a.rd, b.rd);
+    EXPECT_EQ(a.rs1, b.rs1);
+    EXPECT_EQ(a.rs2, b.rs2);
+    EXPECT_EQ(a.cond, b.cond);
+    EXPECT_EQ(a.memSize, b.memSize);
+    EXPECT_EQ(a.signedLoad, b.signedLoad);
+    EXPECT_EQ(a.movShift, b.movShift);
+    EXPECT_EQ(a.movKeep, b.movKeep);
+    EXPECT_EQ(a.formHint, b.formHint);
+}
+
+/** @p got equals @p want function by function, field by field. */
+void
+expectSameCfg(const CfgModule &got, const CfgModule &want)
+{
+    ASSERT_EQ(got.functions.size(), want.functions.size());
+    for (auto ig = got.functions.begin(), iw = want.functions.begin();
+         iw != want.functions.end(); ++ig, ++iw) {
+        const Function &g = ig->second;
+        const Function &w = iw->second;
+        SCOPED_TRACE(w.name);
+        ASSERT_EQ(ig->first, iw->first);
+        EXPECT_EQ(g.name, w.name);
+        EXPECT_EQ(g.entry, w.entry);
+        EXPECT_EQ(g.end, w.end);
+        EXPECT_EQ(g.failure, w.failure);
+        EXPECT_EQ(g.landingPads, w.landingPads);
+        EXPECT_EQ(g.indirectTailCalls, w.indirectTailCalls);
+        EXPECT_EQ(g.dataDeps, w.dataDeps);
+        EXPECT_EQ(g.cacheKey, w.cacheKey);
+        ASSERT_EQ(g.jumpTables.size(), w.jumpTables.size());
+        for (std::size_t i = 0; i < w.jumpTables.size(); ++i) {
+            const JumpTable &a = g.jumpTables[i];
+            const JumpTable &b = w.jumpTables[i];
+            EXPECT_EQ(a.jumpAddr, b.jumpAddr);
+            EXPECT_EQ(a.tableAddr, b.tableAddr);
+            EXPECT_EQ(a.entrySize, b.entrySize);
+            EXPECT_EQ(a.signedEntries, b.signedEntries);
+            EXPECT_EQ(a.shift, b.shift);
+            EXPECT_EQ(a.base, b.base);
+            EXPECT_EQ(a.baseDefAddrs, b.baseDefAddrs);
+            EXPECT_EQ(a.loadAddr, b.loadAddr);
+            EXPECT_EQ(a.entryCount, b.entryCount);
+            EXPECT_EQ(a.targets, b.targets);
+            EXPECT_EQ(a.embeddedInCode, b.embeddedInCode);
+        }
+        ASSERT_EQ(g.blocks.size(), w.blocks.size());
+        for (auto bg = g.blocks.begin(), bw = w.blocks.begin();
+             bw != w.blocks.end(); ++bg, ++bw) {
+            const Block &a = bg->second;
+            const Block &b = bw->second;
+            ASSERT_EQ(a.start, b.start);
+            EXPECT_EQ(a.end, b.end);
+            EXPECT_EQ(a.callTarget, b.callTarget);
+            EXPECT_EQ(a.endsInUnresolvedIndirect,
+                      b.endsInUnresolvedIndirect);
+            EXPECT_EQ(a.endsFunction, b.endsFunction);
+            ASSERT_EQ(a.succs.size(), b.succs.size());
+            for (std::size_t i = 0; i < b.succs.size(); ++i) {
+                EXPECT_EQ(a.succs[i].target, b.succs[i].target);
+                EXPECT_EQ(a.succs[i].kind, b.succs[i].kind);
+            }
+            ASSERT_EQ(a.insns.size(), b.insns.size());
+            for (std::size_t i = 0; i < b.insns.size(); ++i)
+                expectSameInsn(a.insns[i], b.insns[i]);
+        }
+    }
+}
+
+} // namespace
+
+class SessionDirtyOnlyCfg : public ::testing::TestWithParam<Arch>
+{
+};
+
+TEST_P(SessionDirtyOnlyCfg, SeededEditsMatchAFullRebuild)
+{
+    const Arch arch = GetParam();
+    AnalysisCache::global().clear();
+    ProgramSpec spec = microProfile(arch, /*pie=*/true);
+    spec.rodataPadding = 512;
+    const BinaryImage base = compileProgram(spec);
+
+    RewriteSession session(base);
+    ASSERT_TRUE(session.rewrite(baseOptions()).ok);
+
+    // The edit sites: code immediates, a jump-table entry redirected
+    // onto its neighbour (read by its table's reader), and a data
+    // byte nothing reads.
+    std::vector<EditSite> sites = codeEditSites(base);
+    ASSERT_GE(sites.size(), 2u);
+    for (const auto &[entry, func] : session.analyze().functions) {
+        (void)entry;
+        for (const JumpTable &t : func.jumpTables) {
+            if (t.embeddedInCode || t.targets.size() < 2 ||
+                t.targets[0] == t.targets[1])
+                continue;
+            EditSite site{"table", t.tableAddr, {}};
+            ASSERT_TRUE(base.readBytes(t.tableAddr + t.entrySize,
+                                       t.entrySize, site.bytes));
+            sites.push_back(site);
+        }
+    }
+    const Addr unread = findUnreadDataByte(session);
+    ASSERT_NE(unread, 0u);
+    std::vector<std::uint8_t> flipped;
+    ASSERT_TRUE(base.readBytes(unread, 1, flipped));
+    flipped[0] ^= 0x5a;
+    sites.push_back({"data", unread, flipped});
+
+    AnalysisOptions fresh_opts = baseOptions().analysis;
+    fresh_opts.useCache = false;
+    std::map<std::string, std::vector<const EditSite *>> by_kind;
+    for (const EditSite &site : sites)
+        by_kind[site.kind].push_back(&site);
+
+    std::mt19937_64 rng(0x5eed0000u + static_cast<unsigned>(arch));
+    const EditSite *applied = nullptr;
+    std::set<std::string> exercised;
+    for (unsigned step = 0; step < 32; ++step) {
+        // From the unedited binary: apply one site of a random kind
+        // or rebuild it identically; from an edit: revert it or
+        // rebuild it identically.
+        const EditSite *next = applied;
+        if (rng() % 4 != 0 && applied != nullptr) {
+            next = nullptr;
+        } else if (rng() % 4 != 0) {
+            auto kind = by_kind.begin();
+            std::advance(kind, rng() % by_kind.size());
+            next = kind->second[rng() % kind->second.size()];
+        }
+        BinaryImage state = base;
+        if (next != nullptr) {
+            ASSERT_TRUE(state.writeBytes(next->addr, next->bytes));
+        }
+        const std::string what =
+            next == applied ? "identical"
+                            : (next == nullptr ? "revert" : next->kind);
+        SCOPED_TRACE("step " + std::to_string(step) + ": " + what);
+        exercised.insert(what);
+        applied = next;
+
+        const auto out = session.loadInput(state);
+        ASSERT_TRUE(out.incremental);
+        ASSERT_TRUE(session.lastResult().ok)
+            << session.lastResult().failReason;
+
+        // The spliced session CFG is the CFG of the new input.
+        const CfgModule truth = buildCfg(state, fresh_opts);
+        const CfgModule keyed = buildCfg(state, baseOptions().analysis);
+        CfgModule want = truth;
+        for (auto &[entry, func] : want.functions)
+            func.cacheKey = keyed.functions.at(entry).cacheKey;
+        expectSameCfg(session.analyze(), want);
+
+        // And the output is that of a cold rewrite.
+        RewriteSession cold(state);
+        const RewriteResult &cold_rw = cold.rewrite(baseOptions());
+        ASSERT_TRUE(cold_rw.ok) << cold_rw.failReason;
+        EXPECT_EQ(session.lastResult().image.serialize(),
+                  cold_rw.image.serialize());
+    }
+    for (const auto &[kind, list] : by_kind)
+        EXPECT_TRUE(exercised.count(kind)) << kind << " never applied";
+    EXPECT_TRUE(exercised.count("revert"));
+    EXPECT_TRUE(exercised.count("identical"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchs, SessionDirtyOnlyCfg,
     ::testing::Values(Arch::x64, Arch::ppc64le, Arch::aarch64),
     [](const ::testing::TestParamInfo<Arch> &info) {
         return sanitize(archName(info.param));

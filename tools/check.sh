@@ -3,10 +3,11 @@
 #
 #   tsan           ThreadSanitizer build + parallel determinism tests
 #                  (the pipeline's concurrency is only exercised with
-#                  >= 2 requested threads, which TSan then observes)
-#                  and the concurrent cache save/load case (a writer
+#                  >= 2 requested threads, which TSan then observes),
+#                  the concurrent cache save/load case (a writer
 #                  appending under the exclusive lock-file flock while
-#                  a reader loads under the shared one)
+#                  a reader loads under the shared one) and the serve
+#                  daemon suite (concurrent clients, drain, restart)
 #   asan           Address+UBSanitizer build + the memory-heavy suites
 #                  (rewriter, verifier, binfmt, engine, session, cache
 #                  store) and the repair-loop CLI smoke
@@ -93,12 +94,14 @@ leg_tsan() {
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" &&
     cmake --build build-tsan -j "$jobs" \
-        --target test_parallel test_cache_store &&
+        --target test_parallel test_cache_store test_serve &&
     echo "== TSan: parallel pipeline tests ==" &&
     ./build-tsan/tests/test_parallel &&
     echo "== TSan: concurrent cache save/load ==" &&
     ./build-tsan/tests/test_cache_store \
-        --gtest_filter='CacheStore.ConcurrentSaveLoadNeverSeesTornSegment'
+        --gtest_filter='CacheStore.ConcurrentSaveLoadNeverSeesTornSegment' &&
+    echo "== TSan: serve daemon (concurrent clients, drain) ==" &&
+    ./build-tsan/tests/test_serve
 }
 
 leg_asan() {
